@@ -4,9 +4,14 @@ The op set is sized for a small convolutional noise-prediction network:
 elementwise arithmetic, dense and convolutional linear maps, SiLU, group
 normalization, 2x pooling/upsampling, channel concatenation, bias
 broadcasts, and scalar reductions.  A fresh graph is recorded on every
-forward pass; tracked tensors are never mutated in place.  Everything runs
-in float64 unless the caller feeds float32 data (the fast path used for
-training — gradient tests always run in float64).
+forward pass; tracked tensors are never mutated in place.  Each op computes
+in the dtype of its operands (float32 for training and sampling; the
+gradient tests run in float64); non-float input becomes float64.
+
+The hot kernels use numpy only: convolution is one matmul per kernel tap
+over row slices of the padded input (no patch matrix); group normalization
+reduces per channel, then per group, and broadcasts its statistics; SiLU's
+sigmoid is ``0.5 + 0.5*tanh(x/2)``.
 
 Gradient conventions: :func:`backward` accumulates ``dLoss/dLeaf`` into
 ``.grad`` of every ``requires_grad`` leaf, additively across calls, until
@@ -18,13 +23,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import expit
-
-try:  # optional JIT for the conv patch gather (pure-numpy fallback below)
-    from numba import njit
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 __all__ = [
     "Tensor", "tensor", "no_grad", "backward",
@@ -163,63 +161,54 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (channels-last layout for cache-friendly im2col)
+# convolution (channels-last, shift-and-matmul on the padded row grid)
 # ---------------------------------------------------------------------------
 
-if _HAVE_NUMBA:
-    # serial on purpose: a parallel region here thrashes against the BLAS
-    # thread pool that runs the adjacent matmuls; writes every output entry
-    # (zeros at the padding border) so the caller can use np.empty
-    @njit(cache=True)
-    def _gather_patches(x, cols, kh, kw, ph, pw, ho, wo):
-        b, h, w, ci = x.shape
-        for bi in range(b):
-            for i in range(ho):
-                for u in range(kh):
-                    si = i + u - ph
-                    inside_row = 0 <= si < h
-                    base_u = u * kw
-                    for j in range(wo):
-                        for v in range(kw):
-                            sj = j + v - pw
-                            base = (base_u + v) * ci
-                            if inside_row and 0 <= sj < w:
-                                for c in range(ci):
-                                    cols[bi, i, j, base + c] = x[bi, si, sj, c]
-                            else:
-                                for c in range(ci):
-                                    cols[bi, i, j, base + c] = 0.0
+# output rows per accumulation block: sized so the output block and the
+# matmul temporary (about 2 * _BLOCK_BYTES) stay in a 2 MB L2
+_BLOCK_BYTES = 1 << 18
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int):
-    """Stride-1 zero-padded patch matrix for channels-last input.
+def _conv_rows(x: np.ndarray, w: np.ndarray):
+    """Stride-1 'same' convolution of x (B,H,W,Ci) with w (kh,kw,Ci,Co).
 
-    ``x`` is (B, H, W, Ci); the result is (B*Ho*Wo, kh*kw*Ci) with patch
-    entries ordered (kh, kw, Ci) to match the kernel layout.
+    The input is zero-padded once and flattened to rows of Ci.  On that
+    padded grid (Hp, Wp) the tap (u, v) of output row r reads input row
+    r + u*Wp + v, so the convolution is one matmul per tap over contiguous
+    row slices, accumulated block by block.  Rows whose tap would read past
+    an item's padded grid land on its border and are dropped, so items never
+    mix.  Returns the (B, H, W, Co) view of the output on the padded grid
+    and the flattened padded input.
     """
-    b, h, w, ci = x.shape
-    ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    if kh == 1 and kw == 1:
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-        return x.reshape(b * ho * wo, ci), ho, wo
-    if _HAVE_NUMBA:
-        cols = np.empty((b, ho, wo, kh * kw * ci), dtype=x.dtype)
-        _gather_patches(np.ascontiguousarray(x), cols, kh, kw, ph, pw, ho, wo)
-        return cols.reshape(b * ho * wo, kh * kw * ci), ho, wo
+    b, h, wd, ci = x.shape
+    kh, kw, _, co = w.shape
+    ph, pw = kh // 2, kw // 2
+    hp, wp = h + 2 * ph, wd + 2 * pw
     if ph or pw:
-        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * ci)
-    return cols, ho, wo
-
-
-def _conv_forward(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
-    """x (B,H,W,Ci) * w (kh,kw,Ci,Co) -> (B,Ho,Wo,Co) plus the patch matrix."""
-    kh, kw, ci, co = w.shape
-    cols, ho, wo = _im2col(x, kh, kw, ph, pw)
-    out = cols @ w.reshape(kh * kw * ci, co)
-    return out.reshape(x.shape[0], ho, wo, co), cols
+        xp = np.zeros((b, hp, wp, ci), dtype=x.dtype)
+        xp[:, ph:ph + h, pw:pw + wd] = x
+    else:
+        xp = np.ascontiguousarray(x)
+    flat = xp.reshape(b * hp * wp, ci)
+    taps = [(u * wp + v, w[u, v]) for u in range(kh) for v in range(kw)]
+    n = flat.shape[0] - taps[-1][0]
+    dtype = np.result_type(x, w)
+    out = np.empty((flat.shape[0], co), dtype=dtype)
+    # np.dot, not np.matmul: matmul leaves BLAS for a single input channel
+    # (the head's dx), which is ~7x slower
+    if len(taps) == 1:
+        np.dot(flat, w[0, 0], out=out)
+    else:
+        step = max(256, _BLOCK_BYTES // (co * dtype.itemsize))
+        tmp = np.empty((step, co), dtype=dtype)
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            acc, t = out[r0:r1], tmp[:r1 - r0]
+            np.dot(flat[r0:r1], taps[0][1], out=acc)
+            for off, wk in taps[1:]:
+                np.dot(flat[r0 + off:r1 + off], wk, out=t)
+                acc += t
+    return out.reshape(b, hp, wp, co)[:, :h, :wd], flat
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -241,21 +230,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         _need(b, "conv2d")
         if b.shape != (co,):
             raise ValueError(f"conv2d: bias shape {b.shape} != ({co},)")
-    ph, pw = kh // 2, kw // 2
-    xd, wdat = x.data, w.data
-    out, cols = _conv_forward(xd, wdat, ph, pw)
-    if b is not None:
-        out = out + b.data
+    wdat = w.data
+    out, xflat = _conv_rows(x.data, wdat)
+    out = np.ascontiguousarray(out) if b is None else out + b.data
 
     def vjp(g):
-        gmat = g.reshape(-1, co)
-        dw = (cols.T @ gmat).reshape(wdat.shape)
-        # full correlation with the spatially flipped, channel-swapped kernel
+        # dx: full correlation with the spatially flipped, channel-swapped
+        # kernel.  Its padded grid has the forward's shape with g centred, so
+        # output row r's gradient is gflat[c + r], and dW[u, v] pairs it with
+        # input row r + u*Wp + v
         wr = np.ascontiguousarray(np.flip(wdat, (0, 1)).transpose(0, 1, 3, 2))
-        dx, _ = _conv_forward(g, wr, kh - 1 - ph, kw - 1 - pw)
-        if b is not None:
-            return (dx, dw, gmat.sum(axis=0))
-        return (dx, dw)
+        dx, gflat = _conv_rows(g, wr)
+        wp = x.shape[2] + kw - 1
+        n, c = gflat.shape[0] - (kh - 1) * wp - (kw - 1), (kh // 2) * wp + kw // 2
+        dw = np.array([[xflat[u * wp + v:][:n].T @ gflat[c:c + n]
+                        for v in range(kw)] for u in range(kh)])
+        grads = (np.ascontiguousarray(dx), dw)
+        return grads if b is None else grads + (g.sum(axis=(0, 1, 2)),)
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out, parents, vjp)
@@ -266,11 +257,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def silu(x: Tensor) -> Tensor:
-    """Sigmoid-weighted linear unit x * sigmoid(x) (a smooth ReLU)."""
+    """Sigmoid-weighted linear unit x * sigmoid(x) (a smooth ReLU), with
+    sigmoid(x) = 0.5 + 0.5*tanh(x/2) computed in one buffer."""
     _need(x, "silu")
     xd = x.data
-    s = expit(xd)
-    return _node(xd * s, (x,), lambda g: (g * (s * (1.0 + xd * (1.0 - s))),))
+    out = np.multiply(xd, 0.5)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    out *= xd
+
+    def vjp(g):
+        s = 0.5 + 0.5 * np.tanh(0.5 * xd)
+        return (g * (s * (1.0 + xd * (1.0 - s))),)
+
+    return _node(out, (x,), vjp)
 
 
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
@@ -290,38 +291,35 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     cg = c // groups
     m = h * w * cg
 
-    def group_mean(a):
-        # innermost-axis-first reduction keeps every pass contiguous
-        return a.reshape(bsz, h * w, groups, cg).sum(axis=3).sum(axis=1) / m
+    def group_mean(per_channel_sum):
+        # (B, C) spatial sums -> each channel's group mean, as (B, 1, C)
+        s = per_channel_sum.reshape(bsz, groups, cg).sum(axis=2) / m
+        return np.repeat(s, cg, axis=1)[:, None, :]
 
-    def group_mean_prod(a, b):
-        # fused multiply-reduce without materializing the product
-        return np.einsum("bmgc,bmgc->bg",
-                         a.reshape(bsz, h * w, groups, cg),
-                         b.reshape(bsz, h * w, groups, cg)) / m
-
-    def per_channel(stat):
-        # (B, groups) -> broadcastable (B, 1, 1, C)
-        return np.repeat(stat, cg, axis=1)[:, None, None, :]
-
-    xd = x.data
-    mu = per_channel(group_mean(xd))
-    xc = xd - mu
-    var = per_channel(group_mean_prod(xc, xc))
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    # spatial sums per channel reduce over the outer axis, which is fast
+    xr = x.data.reshape(bsz, h * w, c)
+    mu = group_mean(xr.sum(axis=1))
+    xc = xr - mu
+    inv = 1.0 / np.sqrt(group_mean(np.einsum("bmc,bmc->bc", xc, xc)) + eps)
     gd = gamma.data
+    out = xc
+    out *= inv * gd
+    out += beta.data
 
     def vjp(g):
-        dgamma = np.einsum("bhwc,bhwc->c", g, xhat)
-        dbeta = g.sum(axis=(0, 1, 2))
-        gh = g * gd
-        dx = inv * (gh - per_channel(group_mean(gh))
-                    - xhat * per_channel(group_mean_prod(gh, xhat)))
-        return (dx, dgamma, dbeta)
+        gr = g.reshape(bsz, h * w, c)
+        xhat = xr - mu
+        xhat *= inv
+        g_c = gr.sum(axis=1)
+        gx_c = np.einsum("bmc,bmc->bc", gr, xhat)
+        dx = gr * gd
+        dx -= group_mean(g_c * gd)
+        xhat *= group_mean(gx_c * gd)  # in place: xhat is not read again
+        dx -= xhat
+        dx *= inv
+        return (dx.reshape(x.shape), gx_c.sum(axis=0), g_c.sum(axis=0))
 
-    return _node(out, (x, gamma, beta), vjp)
+    return _node(out.reshape(x.shape), (x, gamma, beta), vjp)
 
 
 # ---------------------------------------------------------------------------

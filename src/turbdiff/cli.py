@@ -92,6 +92,8 @@ _GEN_KEYS = {
 
 def cmd_gen_data(args) -> int:
     v = _resolve(args, _GEN_KEYS, args.config)
+    if v["count"] < 0:
+        raise DataError(f"count must be >= 0, got {v['count']}")
     cfg = DegradationConfig(
         elastic_sigma=v["elastic_sigma"], elastic_alpha=v["elastic_alpha"],
         blur_sigma_range=(v["blur_sigma_min"], v["blur_sigma_max"]),

@@ -9,8 +9,10 @@ quantization error is at most half of one 16-bit quantum per pixel.
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,18 +147,20 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
     f.write(arr.astype("<f8", copy=False).tobytes())
 
 
+def _read(f, n: int, what: str) -> bytes:
+    """Exactly ``n`` bytes of ``f``; fewer means the checkpoint was cut."""
+    raw = f.read(min(n, sys.maxsize))
+    if len(raw) != n:
+        raise DataError(f"checkpoint: truncated {what}")
+    return raw
+
+
 def _read_tensor(f) -> tuple[str, np.ndarray]:
-    raw = f.read(4)
-    if len(raw) < 4:
-        raise DataError("checkpoint: truncated tensor table")
-    (nlen,) = struct.unpack("<I", raw)
-    name = f.read(nlen).decode("utf-8")
-    (rank,) = struct.unpack("<Q", f.read(8))
-    dims = struct.unpack(f"<{rank}Q", f.read(8 * rank)) if rank else ()
-    n = int(np.prod(dims)) if dims else 1
-    payload = f.read(8 * n)
-    if len(payload) != 8 * n:
-        raise DataError(f"checkpoint: truncated payload for tensor {name}")
+    (nlen,) = struct.unpack("<I", _read(f, 4, "tensor table"))
+    name = _read(f, nlen, "tensor name").decode("utf-8", "replace")
+    (rank,) = struct.unpack("<Q", _read(f, 8, f"rank of tensor {name}"))
+    dims = struct.unpack(f"<{rank}Q", _read(f, 8 * rank, f"dims of tensor {name}"))
+    payload = _read(f, 8 * math.prod(dims), f"payload for tensor {name}")
     arr = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
     return name, arr
 
@@ -207,11 +211,11 @@ def load_checkpoint(path) -> Checkpoint:
         f = io.BytesIO(fh.read())
     if f.read(4) != MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", f.read(4))
+    (version,) = struct.unpack("<I", _read(f, 4, "version"))
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<I", f.read(4))
-    kv = _parse_header(f.read(hlen).decode("utf-8"))
+    (hlen,) = struct.unpack("<I", _read(f, 4, "header length"))
+    kv = _parse_header(_read(f, hlen, "header").decode("utf-8", "replace"))
     try:
         spec = NetSpec(
             image_size=int(kv["image_size"]),

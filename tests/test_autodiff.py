@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,139 @@ def test_deterministic_repeat_bitwise():
     o1, g1 = run()
     o2, g2 = run()
     assert np.array_equal(o1, o2) and np.array_equal(g1, g2)
+
+
+# ---------------------------------------------------------------------------
+# float32 kernels against float64 references
+# ---------------------------------------------------------------------------
+
+# float32 outputs and gradients of order 1 must match float64 within ~100
+# float32 ulps of the largest reference value: the kernels reassociate
+# sums, a wrong index moves values by O(1)
+TOL32 = 1e-5
+
+# every conv of the default denoiser: (size, Ci, Co, k)
+DENOISER_CONVS = [
+    (32, 2, 32, 3),    # stem
+    (32, 32, 32, 3),   # b1 / b4 convs
+    (16, 32, 64, 3),   # b2.conv1
+    (16, 64, 64, 3),   # b2.conv2, b3 convs
+    (16, 32, 64, 1),   # b2.skip
+    (32, 64, 32, 1),   # fuse
+    (32, 32, 1, 3),    # head
+]
+
+
+def conv_ref(x, w):
+    """Float64 'same' convolution as a sum over taps of padded shifts."""
+    kh, kw = w.shape[:2]
+    h, wd = x.shape[1:3]
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    return sum(np.einsum("bhwc,cd->bhwd", xp[:, u:u + h, v:v + wd], w[u, v])
+               for u in range(kh) for v in range(kw))
+
+
+def group_norm_ref(x, g, b, groups, eps=1e-5):
+    bsz, h, w, c = x.shape
+    xg = x.reshape(bsz, h, w, groups, c // groups)
+    mu = xg.mean(axis=(1, 2, 4), keepdims=True)
+    var = xg.var(axis=(1, 2, 4), keepdims=True)
+    return ((xg - mu) / np.sqrt(var + eps)).reshape(x.shape) * g + b
+
+
+def assert_close32(got, want, tol=TOL32):
+    assert got.dtype == np.float32
+    err = np.max(np.abs(got - want))
+    assert err <= tol * max(1.0, np.max(np.abs(want))), err
+
+
+def op_outputs(op, arrays, gout, dtype):
+    """Forward value and every input gradient of ``op`` at ``dtype``, with
+    the output cotangent ``gout``."""
+    ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    out = op(*ts)
+    ad.backward(ad.tsum(ad.mul(out, Tensor(gout.astype(dtype)))))
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("size,ci,co,k", DENOISER_CONVS)
+def test_conv2d_float32_matches_float64_reference(size, ci, co, k):
+    rng = Rng(1000 + size + ci + co + k)
+    x = rng.gauss((2, size, size, ci))
+    w = rng.gauss((k, k, ci, co)) / np.sqrt(k * k * ci)
+    b = 0.1 * rng.gauss((co,))
+    assert_close32(ad.conv2d(Tensor(x.astype(np.float32)),
+                             Tensor(w.astype(np.float32)),
+                             Tensor(b.astype(np.float32))).data,
+                   conv_ref(x, w) + b)
+    gout = rng.gauss((2, size, size, co))
+    got = op_outputs(ad.conv2d, (x, w, b), gout, np.float32)
+    want = op_outputs(ad.conv2d, (x, w, b), gout, np.float64)
+    for g32, g64 in zip(got, want):
+        assert_close32(g32, g64)
+
+
+@pytest.mark.parametrize("size,c", [(32, 32), (16, 32), (16, 64)])
+def test_group_norm_and_silu_float32_match_float64_reference(size, c):
+    rng = Rng(2000 + size + c)
+    x = rng.gauss((2, size, size, c))
+    g = 1.0 + 0.2 * rng.gauss((c,))
+    b = 0.2 * rng.gauss((c,))
+    gout = rng.gauss(x.shape)
+    gn = functools.partial(ad.group_norm, groups=8)
+    assert_close32(gn(*(Tensor(a.astype(np.float32)) for a in (x, g, b))).data,
+                   group_norm_ref(x, g, b, 8))
+    for g32, g64 in zip(op_outputs(gn, (x, g, b), gout, np.float32),
+                        op_outputs(gn, (x, g, b), gout, np.float64)):
+        assert_close32(g32, g64)
+    xs = 4.0 * x
+    assert_close32(ad.silu(Tensor(xs.astype(np.float32))).data,
+                   xs / (1.0 + np.exp(-xs)))
+    for g32, g64 in zip(op_outputs(ad.silu, (xs,), gout, np.float32),
+                        op_outputs(ad.silu, (xs,), gout, np.float64)):
+        assert_close32(g32, g64)
+
+
+def test_group_norm_float32_survives_a_large_offset():
+    # a one-pass E[x^2] - E[x]^2 variance loses ~5e-2 here; centering first
+    # keeps the error at the float32 rounding of the mean (~1e-4)
+    rng = Rng(9)
+    x = 100.0 + rng.gauss((2, 32, 32, 32))
+    g, b = np.ones(32), np.zeros(32)
+    out = ad.group_norm(*(Tensor(a.astype(np.float32)) for a in (x, g, b)),
+                        groups=8).data
+    assert_close32(out, group_norm_ref(x, g, b, 8), tol=1e-3)
+
+
+def test_conv2d_non_square_kernel_finite_differences():
+    # kh != kw: the tap offsets u*Wp + v and the centred gradient grid of dW
+    rng = Rng(41)
+    x = t_(rng.gauss((2, 5, 4, 2)))
+    w = t_(rng.gauss((5, 3, 2, 2)) * 0.4)
+    b = t_(rng.gauss((2,)) * 0.1)
+    ref = Tensor(rng.gauss((2, 5, 4, 2)))
+    finite_diff_check(lambda: ad.mse(ad.conv2d(x, w, b), ref),
+                      {"x": x, "w": w, "b": b})
+
+
+@pytest.mark.parametrize("kernel", [(3, 3), (5, 3), (1, 1)])
+def test_conv2d_batch_items_are_independent(kernel):
+    # items of very different scale: a padded row read across an item
+    # boundary would show up far above the tolerance
+    rng = Rng(31)
+    x = rng.gauss((5, 6, 7, 3)) * (10.0 ** np.arange(5))[:, None, None, None]
+    w = t_(rng.gauss(kernel + (3, 4)))
+    g = rng.gauss((5, 6, 7, 4))
+    xt = t_(x)
+    out = ad.conv2d(xt, w)
+    ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+    for i in range(5):
+        xi = t_(x[i:i + 1])
+        oi = ad.conv2d(xi, w)
+        ad.backward(ad.tsum(ad.mul(oi, Tensor(g[i:i + 1]))))
+        scale = 10.0 ** i
+        assert np.max(np.abs(oi.data[0] - out.data[i])) <= 1e-12 * scale
+        assert np.max(np.abs(xi.grad[0] - xt.grad[i])) <= 1e-12
 
 
 def test_no_grad_blocks_graph():
