@@ -5,6 +5,13 @@ Every command is deterministic given its seed, flags, and inputs.  Options
 may also come from a ``key=value`` config file (``--config``); explicit
 flags override file values, and unknown file keys are hard errors.
 
+Defaults have one source each.  The training flags and config keys of
+``train`` and ``ablate`` are the fields of :class:`TrainConfig` with their
+types and defaults (``learning_rate`` is spelled ``lr``), and a checkpoint
+header is a TrainConfig too.  ``gen-data``'s degradation defaults are those
+of :class:`DegradationConfig`, and the sampler defaults of ``restore`` and
+``ablate`` are the constants below.
+
 Exit codes: 0 success, 1 usage error, 2 data/contract error, 3 numeric
 failure (NaN abort).
 """
@@ -15,17 +22,18 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
 from .denoiser import DenoiserParams, make_denoise_fn
 from .diffusion import restore_batched, to_signed, to_unit
-from .formats import (Checkpoint, CheckpointMeta, DataError, load_checkpoint,
-                      load_dataset_dir, read_config_file, read_pgm,
-                      save_checkpoint, write_manifest, write_pgm)
+from .formats import (DataError, load_checkpoint, load_dataset_dir,
+                      read_config_file, read_pgm, save_checkpoint,
+                      write_manifest, write_pgm)
 from .metrics import evaluate_pairs
 from .rng import Rng
-from .schedule import linear_schedule, respace
+from .schedule import respace
 from .toyfaces import render, sample_spec
 from .training import (NumericError, PairedDataset, Stage, TrainConfig,
                        history_csv_rows, train_stage)
@@ -35,6 +43,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# sampler defaults of restore and ablate: respaced steps K, truncated start
+# step t1, and images per restore_batched chunk
+SAMPLER_STEPS = 60
+SAMPLER_T1 = 30
+SAMPLER_CHUNK = 64
 
 
 class UsageError(Exception):
@@ -78,14 +92,15 @@ def _write_csv(path, rows: list[str]) -> None:
 # gen-data
 # ---------------------------------------------------------------------------
 
+_DEGRADATION = DegradationConfig()
 _GEN_KEYS = {
     "count": (int, 4096),
     "seed": (int, 0),
-    "elastic_sigma": (float, 4.0),
-    "elastic_alpha": (float, 2.0),
-    "blur_sigma_min": (float, 0.5),
-    "blur_sigma_max": (float, 1.5),
-    "noise_std": (float, 1e-4),
+    "elastic_sigma": (float, _DEGRADATION.elastic_sigma),
+    "elastic_alpha": (float, _DEGRADATION.elastic_alpha),
+    "blur_sigma_min": (float, _DEGRADATION.blur_sigma_range[0]),
+    "blur_sigma_max": (float, _DEGRADATION.blur_sigma_range[1]),
+    "noise_std": (float, _DEGRADATION.noise_std),
     "weak_factor": (int, 4),
 }
 
@@ -124,19 +139,26 @@ def cmd_gen_data(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-_TRAIN_KEYS = {
-    "steps": (int, 2500),
-    "batch_size": (int, 8),
-    "lr": (float, 2e-4),
-    "gamma": (float, 0.01),
-    "gamma1": (float, 0.9909),
-    "seed": (int, 0),
-    "t_steps": (int, 1000),
-    "beta_start": (float, 1e-4),
-    "beta_end": (float, 0.02),
-    "dtype": (str, "float32"),
-    "checkpoint_every": (int, 0),
-}
+_CONFIG_FIELDS = [f for f in fields(TrainConfig) if f.default is not MISSING]
+_KEY = {"learning_rate": "lr"}  # field -> flag and config key, if renamed
+
+
+def _config_keys(*skip: str) -> dict[str, tuple]:
+    """Flag/config key -> (type, default) of the TrainConfig fields that
+    have a default, less the fields in ``skip``."""
+    return {_KEY.get(f.name, f.name): (type(f.default), f.default)
+            for f in _CONFIG_FIELDS if f.name not in skip}
+
+
+def _train_config(v: dict, **fixed) -> TrainConfig:
+    """TrainConfig of the resolved values ``v``; ``fixed`` sets fields
+    directly and leaves their keys in ``v`` unread."""
+    return TrainConfig(**fixed, **{f.name: v[_KEY.get(f.name, f.name)]
+                                   for f in _CONFIG_FIELDS
+                                   if f.name not in fixed})
+
+
+_TRAIN_KEYS = {**_config_keys(), "checkpoint_every": (int, 0)}
 
 
 def _load_dataset(path) -> PairedDataset:
@@ -150,6 +172,7 @@ def cmd_train(args) -> int:
     if stage is Stage.STRONG_DISTILL and not args.teacher:
         raise UsageError("--stage strong requires --teacher "
                          "(checkpoint of the weak-degradation model)")
+    config = _train_config(v, stage=stage)
     dataset = _load_dataset(args.data)
 
     init = teacher = None
@@ -165,25 +188,15 @@ def cmd_train(args) -> int:
         raise DataError(f"--init descriptor {init.spec} does not match "
                         f"--teacher descriptor {teacher.spec}")
 
-    config = TrainConfig(
-        stage=stage, steps=v["steps"], batch_size=v["batch_size"],
-        learning_rate=v["lr"], gamma=v["gamma"], gamma1=v["gamma1"],
-        seed=v["seed"], t_steps=v["t_steps"], beta_start=v["beta_start"],
-        beta_end=v["beta_end"], dtype=v["dtype"])
-    meta = CheckpointMeta(stage=stage.value, gamma=v["gamma"],
-                          gamma1=v["gamma1"], seed=v["seed"],
-                          t_steps=v["t_steps"], beta_start=v["beta_start"],
-                          beta_end=v["beta_end"])
-
     def save(state, path=args.out):
-        meta.step = state.step
         save_checkpoint(path, state.student, teacher=state.teacher,
-                        opt_m=state.opt_m, opt_v=state.opt_v, meta=meta)
+                        opt_m=state.opt_m, opt_v=state.opt_v,
+                        meta=replace(config, steps=state.step))
 
     state = train_stage(config, dataset, init=init, teacher_init=teacher,
                         checkpoint_every=v["checkpoint_every"],
                         checkpoint_fn=save if v["checkpoint_every"] else None,
-                        log_every=max(v["steps"] // 10, 1) if v["steps"] else 0)
+                        log_every=max(config.steps // 10, 1))
     save(state)
     if args.loss_csv:
         _write_csv(args.loss_csv, history_csv_rows(state))
@@ -202,20 +215,24 @@ def cmd_train(args) -> int:
 # restore
 # ---------------------------------------------------------------------------
 
-def _checkpoint_sampler(ckpt: Checkpoint, steps: int):
-    sched = respace(linear_schedule(ckpt.meta.t_steps, ckpt.meta.beta_start,
-                                    ckpt.meta.beta_end), steps)
-    return make_denoise_fn(ckpt.student.astype(np.float32)), sched
+def _checkpoint_sampler(student: DenoiserParams, meta: TrainConfig,
+                        steps: int):
+    """Float32 denoiser and the ``steps``-step respacing of the checkpoint's
+    noise schedule."""
+    return (make_denoise_fn(student.astype(np.float32)),
+            respace(meta.schedule(), steps))
 
 
 def cmd_restore(args) -> int:
     if args.t1 is None:
-        args.t1 = args.steps if args.noise_start else 30
+        args.t1 = args.steps if args.noise_start else SAMPLER_T1
     if args.t1 > args.steps:
         raise UsageError(f"--t1 {args.t1} exceeds --steps {args.steps}")
+    if args.batch < 1:
+        raise DataError(f"--batch must be >= 1, got {args.batch}")
     ckpt = load_checkpoint(args.ckpt)
     size = ckpt.student.spec.image_size
-    fn, sched = _checkpoint_sampler(ckpt, args.steps)
+    fn, sched = _checkpoint_sampler(ckpt.student, ckpt.meta, args.steps)
 
     names, imgs = [], []
     for path in args.images:
@@ -298,16 +315,15 @@ def cmd_eval(args) -> int:
 # ablate
 # ---------------------------------------------------------------------------
 
-def _restore_eval(params: DenoiserParams, meta: CheckpointMeta,
+def _restore_eval(params: DenoiserParams, meta: TrainConfig,
                   eval_ds: PairedDataset, t1: int, steps: int, seed: int,
-                  noise_start: bool = False, batch: int = 64):
-    fn = make_denoise_fn(params.astype(np.float32))
-    sched = respace(linear_schedule(meta.t_steps, meta.beta_start,
-                                    meta.beta_end), steps)
+                  noise_start: bool = False):
+    fn, sched = _checkpoint_sampler(params, meta, steps)
     x = to_signed(eval_ds.strong)
     t0 = time.perf_counter()
     out, trace = restore_batched(x, fn, sched, t1, Rng(seed),
-                                 noise_start=noise_start, batch_size=batch)
+                                 noise_start=noise_start,
+                                 batch_size=SAMPLER_CHUNK)
     seconds = time.perf_counter() - t0
     restored = to_unit(out)
     ids = eval_ds.ids or [f"{i:05d}" for i in range(len(eval_ds))]
@@ -323,49 +339,39 @@ def cmd_ablate_pt(args, v) -> int:
     eval_ds = _load_dataset(args.eval_data)
     os.makedirs(args.out, exist_ok=True)
     total = v["steps_weak"] + v["steps_strong"]
-    base = dict(batch_size=v["batch_size"], learning_rate=v["lr"],
-                gamma=v["gamma"], gamma1=v["gamma1"], t_steps=v["t_steps"],
-                beta_start=v["beta_start"], beta_end=v["beta_end"],
-                dtype=v["dtype"])
-    meta = CheckpointMeta(gamma=v["gamma"], gamma1=v["gamma1"], seed=v["seed"],
-                          t_steps=v["t_steps"], beta_start=v["beta_start"],
-                          beta_end=v["beta_end"])
+    # checkpoint headers hold the base seed, the stage and the steps taken
+    base = _train_config(v, stage=Stage.WEAK_COND, steps=v["steps_weak"])
 
     print(f"[1/3] progressive path: weak stage, {v['steps_weak']} steps")
-    weak_state = train_stage(
-        TrainConfig(stage=Stage.WEAK_COND, steps=v["steps_weak"],
-                    seed=v["seed"], **base),
-        train_ds, log_every=max(v["steps_weak"] // 5, 1))
+    weak_state = train_stage(base, train_ds,
+                             log_every=max(v["steps_weak"] // 5, 1))
     print(f"[2/3] progressive path: distillation stage, {v['steps_strong']} steps")
     pt_state = train_stage(
-        TrainConfig(stage=Stage.STRONG_DISTILL, steps=v["steps_strong"],
-                    seed=v["seed"] + 1, **base),
+        replace(base, stage=Stage.STRONG_DISTILL, steps=v["steps_strong"],
+                seed=base.seed + 1),
         train_ds, init=weak_state.student, teacher_init=weak_state.student,
         log_every=max(v["steps_strong"] // 5, 1))
-    meta.stage = "strong"
-    meta.step = pt_state.step
     save_checkpoint(os.path.join(args.out, "progressive.ckpt"),
-                    pt_state.student, teacher=pt_state.teacher, meta=meta)
+                    pt_state.student, teacher=pt_state.teacher,
+                    meta=replace(base, stage=Stage.STRONG_DISTILL,
+                                 steps=pt_state.step))
 
     # direct baseline: plain conditioning on the strong degradation for the
     # same total number of gradient steps, no teacher
     print(f"[3/3] direct path: strong conditioning, {total} steps")
     direct_ds = PairedDataset(clean=train_ds.clean, weak=train_ds.strong,
                               strong=None, ids=train_ds.ids)
-    direct_state = train_stage(
-        TrainConfig(stage=Stage.WEAK_COND, steps=total, seed=v["seed"] + 2,
-                    **base),
-        direct_ds, log_every=max(total // 5, 1))
-    meta.stage = "weak"
-    meta.step = direct_state.step
+    direct_state = train_stage(replace(base, steps=total, seed=base.seed + 2),
+                               direct_ds, log_every=max(total // 5, 1))
     save_checkpoint(os.path.join(args.out, "direct.ckpt"),
-                    direct_state.student, meta=meta)
+                    direct_state.student,
+                    meta=replace(base, steps=direct_state.step))
 
     rows = ["variant,total_steps,psnr_mean,psnr_median,ssim_mean"]
     summary = {}
     for label, params in (("progressive", pt_state.student),
                           ("direct", direct_state.student)):
-        _, rep, _, _, _ = _restore_eval(params, meta, eval_ds, v["t1"],
+        _, rep, _, _, _ = _restore_eval(params, base, eval_ds, v["t1"],
                                         v["steps"], v["seed"] + 9)
         rows.append(f"{label},{total},{rep.psnr_mean:.4f},"
                     f"{rep.psnr_median:.4f},{rep.ssim_mean:.5f}")
@@ -417,20 +423,14 @@ def cmd_ablate_sampling(args, v) -> int:
     return EXIT_OK
 
 
+# ``steps`` is the sampler's K here; each training stage's steps have
+# their own keys
 _ABLATE_KEYS = {
-    "steps_weak": (int, 2500),
-    "steps_strong": (int, 2500),
-    "batch_size": (int, 8),
-    "lr": (float, 2e-4),
-    "gamma": (float, 0.01),
-    "gamma1": (float, 0.9909),
-    "seed": (int, 0),
-    "t_steps": (int, 1000),
-    "beta_start": (float, 1e-4),
-    "beta_end": (float, 0.02),
-    "dtype": (str, "float32"),
-    "steps": (int, 60),
-    "t1": (int, 30),
+    "steps_weak": (int, TrainConfig.steps),
+    "steps_strong": (int, TrainConfig.steps),
+    **_config_keys("steps"),
+    "steps": (int, SAMPLER_STEPS),
+    "t1": (int, SAMPLER_T1),
     "t1_list": (str, "10,20,30,45,60"),
 }
 
@@ -486,15 +486,15 @@ def build_parser() -> _Parser:
                    metavar="IMG")
     r.add_argument("--out", required=True)
     r.add_argument("--t1", type=int, default=None,
-                   help="truncated start step (default 30)")
-    r.add_argument("--steps", type=int, default=60,
-                   help="respaced inference steps (default 60)")
+                   help=f"truncated start step (default {SAMPLER_T1})")
+    r.add_argument("--steps", type=int, default=SAMPLER_STEPS,
+                   help=f"respaced inference steps (default {SAMPLER_STEPS})")
     r.add_argument("--noise-start", action="store_true",
                    help="start from pure noise (requires --t1 == --steps)")
     r.add_argument("--snapshots", type=int, default=0, metavar="M",
                    help="dump every M-th intermediate image")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--batch", type=int, default=64)
+    r.add_argument("--batch", type=int, default=SAMPLER_CHUNK)
     r.set_defaults(fn=cmd_restore)
 
     e = sub.add_parser("eval", help="PSNR/SSIM of predictions vs references")

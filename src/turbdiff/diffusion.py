@@ -174,6 +174,9 @@ def restore_batched(x: np.ndarray, denoise_fn, s: RespacedSchedule, t1: int,
     Per-item noise streams are indexed globally, so the result for item i is
     identical no matter how the set is chunked.
     """
+    if batch_size < 1:
+        raise ValueError(f"restore_batched: batch_size must be >= 1, "
+                         f"got {batch_size}")
     x = np.asarray(x)
     out = np.empty_like(x)
     trace = SampleTrace(nfe=0, start_step=t1)

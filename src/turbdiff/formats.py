@@ -19,6 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .denoiser import DenoiserParams, NetSpec, param_shapes
+from .training import Stage, TrainConfig
 
 MAGIC = b"ATDD"
 FORMAT_VERSION = 1
@@ -46,13 +47,13 @@ def write_pgm(path, img: np.ndarray) -> None:
         f.write(q.tobytes())
 
 
-def _pgm_token(f) -> bytes:
+def _pgm_token(f, path) -> bytes:
     """Next whitespace-delimited header token, skipping '#' comments."""
     tok = b""
     while True:
         c = f.read(1)
         if not c:
-            raise DataError("read_pgm: truncated header")
+            raise DataError(f"read_pgm: truncated header in {path}")
         if c == b"#":
             while c not in (b"\n", b""):
                 c = f.read(1)
@@ -67,21 +68,24 @@ def _pgm_token(f) -> bytes:
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM into a float64 [0, 1] image."""
     with open(path, "rb") as f:
-        if _pgm_token(f) != b"P5":
+        if _pgm_token(f, path) != b"P5":
             raise DataError(f"read_pgm: {path} is not a binary PGM (P5)")
         try:
-            w = int(_pgm_token(f))
-            h = int(_pgm_token(f))
-            maxval = int(_pgm_token(f))
+            w = int(_pgm_token(f, path))
+            h = int(_pgm_token(f, path))
+            maxval = int(_pgm_token(f, path))
         except ValueError as e:
             raise DataError(f"read_pgm: bad header in {path}: {e}") from None
+        if w < 1 or h < 1:
+            raise DataError(f"read_pgm: bad size {w}x{h} in {path}")
         if not (0 < maxval < 65536):
             raise DataError(f"read_pgm: bad maxval {maxval} in {path}")
-        dtype = ">u2" if maxval > 255 else "u1"
-        raw = f.read(w * h * np.dtype(dtype).itemsize)
-    data = np.frombuffer(raw, dtype=dtype)
-    if data.size != w * h:
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        n = w * h * dtype.itemsize
+        raw = f.read(n)
+    if len(raw) != n:
         raise DataError(f"read_pgm: truncated pixel data in {path}")
+    data = np.frombuffer(raw, dtype=dtype)
     return data.reshape(h, w).astype(np.float64) / maxval
 
 
@@ -89,30 +93,30 @@ def read_pgm(path) -> np.ndarray:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckpointMeta:
-    """Self-describing header values of a checkpoint."""
-
-    stage: str = "weak"
-    step: int = 0
-    gamma: float = 0.01
-    gamma1: float = 0.9909
-    seed: int = 0
-    t_steps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+# header key -> (TrainConfig field, type) for the fields a checkpoint header
+# holds, in header order.  In a checkpoint ``steps`` counts the steps taken,
+# so its key is ``step``.
+_META = {("step" if name == "steps" else name):
+         (name, Stage if name == "stage" else type(getattr(TrainConfig, name)))
+         for name in ("stage", "steps", "gamma", "gamma1", "seed", "t_steps",
+                      "beta_start", "beta_end")}
 
 
 @dataclass
 class Checkpoint:
+    """A loaded checkpoint.  ``meta`` is the :class:`TrainConfig` read back
+    from the header: stage, steps (the steps taken), gamma, gamma1, seed and
+    the noise schedule come from the file; batch_size, learning_rate and
+    dtype, which the header does not hold, are TrainConfig defaults."""
+
     student: DenoiserParams
     teacher: DenoiserParams | None
     opt_m: dict[str, np.ndarray] | None
     opt_v: dict[str, np.ndarray] | None
-    meta: CheckpointMeta
+    meta: TrainConfig
 
 
-def _header_text(spec: NetSpec, meta: CheckpointMeta, has_teacher: bool,
+def _header_text(spec: NetSpec, meta: TrainConfig, has_teacher: bool,
                  has_opt: bool) -> str:
     kv = {
         "image_size": spec.image_size,
@@ -121,17 +125,13 @@ def _header_text(spec: NetSpec, meta: CheckpointMeta, has_teacher: bool,
         "groups": spec.groups,
         "cond_channels": spec.cond_channels,
         "out_channels": spec.out_channels,
-        "stage": meta.stage,
-        "step": meta.step,
-        "gamma": repr(float(meta.gamma)),
-        "gamma1": repr(float(meta.gamma1)),
-        "seed": meta.seed,
-        "t_steps": meta.t_steps,
-        "beta_start": repr(float(meta.beta_start)),
-        "beta_end": repr(float(meta.beta_end)),
-        "has_teacher": int(has_teacher),
-        "has_opt": int(has_opt),
     }
+    for key, (name, typ) in _META.items():
+        v = getattr(meta, name)
+        kv[key] = (v.value if typ is Stage
+                   else repr(float(v)) if typ is float else v)
+    kv["has_teacher"] = int(has_teacher)
+    kv["has_opt"] = int(has_opt)
     return "".join(f"{k}={v}\n" for k, v in kv.items())
 
 
@@ -169,8 +169,9 @@ def save_checkpoint(path, student: DenoiserParams,
                     teacher: DenoiserParams | None = None,
                     opt_m: dict[str, np.ndarray] | None = None,
                     opt_v: dict[str, np.ndarray] | None = None,
-                    meta: CheckpointMeta | None = None) -> None:
-    meta = meta or CheckpointMeta()
+                    meta: TrainConfig | None = None) -> None:
+    if meta is None:
+        meta = TrainConfig(stage=Stage.WEAK_COND, steps=0)
     has_opt = opt_m is not None and opt_v is not None
     order = list(param_shapes(student.spec))
     with open(path, "wb") as f:
@@ -225,12 +226,8 @@ def load_checkpoint(path) -> Checkpoint:
             cond_channels=int(kv["cond_channels"]),
             out_channels=int(kv["out_channels"]),
         )
-        meta = CheckpointMeta(
-            stage=kv["stage"], step=int(kv["step"]),
-            gamma=float(kv["gamma"]), gamma1=float(kv["gamma1"]),
-            seed=int(kv["seed"]), t_steps=int(kv["t_steps"]),
-            beta_start=float(kv["beta_start"]), beta_end=float(kv["beta_end"]),
-        )
+        meta = TrainConfig(**{name: typ(kv[key])
+                              for key, (name, typ) in _META.items()})
         has_teacher = bool(int(kv["has_teacher"]))
         has_opt = bool(int(kv["has_opt"]))
     except (KeyError, ValueError) as e:

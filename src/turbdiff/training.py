@@ -40,17 +40,23 @@ class Stage(str, Enum):
     STRONG_DISTILL = "strong"
 
 
+# Adam moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
-    """Settings for one training stage."""
+    """Settings for one training stage, and the one table of training
+    defaults: the ``train`` and ``ablate`` flags and config keys of the CLI
+    take their names, types and defaults from these fields, and a
+    checkpoint header stores a subset of them (``formats.Checkpoint``)."""
 
     stage: Stage
-    steps: int = 3000
-    batch_size: int = 16
-    learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    steps: int = 2500
+    batch_size: int = 8
+    learning_rate: float = 2e-4
     gamma: float = 0.01        # distillation weight
     gamma1: float = 0.9909     # EMA rate
     seed: int = 0
@@ -172,7 +178,7 @@ def optimizer_step(state: TrainState, grads: dict[str, np.ndarray],
             raise ValueError(f"missing gradient for {name}; run backward() first")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name} at step {state.step}")
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     t = state.step + 1
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
@@ -180,7 +186,7 @@ def optimizer_step(state: TrainState, grads: dict[str, np.ndarray],
         p = state.student.tensors[name]
         m = state.opt_m[name] = b1 * state.opt_m[name] + (1 - b1) * g
         v = state.opt_v[name] = b2 * state.opt_v[name] + (1 - b2) * (g * g)
-        step = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        step = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p.data = p.data - step
     state.step = t
 

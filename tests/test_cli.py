@@ -1,11 +1,14 @@
+import argparse
 import math
 import struct
 
 import pytest
 
-from turbdiff.cli import main
+from turbdiff import cli
+from turbdiff.cli import build_parser, main
 from turbdiff.denoiser import NetSpec, init_params
-from turbdiff.formats import DataError, load_checkpoint, save_checkpoint
+from turbdiff.formats import (DataError, load_checkpoint, save_checkpoint,
+                              write_pgm)
 from turbdiff.rng import Rng
 
 
@@ -53,3 +56,239 @@ def test_cut_checkpoint_is_a_data_error_and_exits_2(tmp_path, capsys):
         assert main(argv) == 2, n
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (n, err)
+
+
+# ---------------------------------------------------------------------------
+# the command-line contract: options, defaults, config files, outputs
+# ---------------------------------------------------------------------------
+
+# (option, argparse default, type) of every option of every subcommand;
+# the options that a config file may also set default to None here and
+# take their defaults from the key tables below
+_OPTIONS = {
+    "gen-data": [
+        ("--out", None, None), ("--config", None, None),
+        ("--count", None, "int"), ("--seed", None, "int"),
+        ("--elastic-sigma", None, "float"), ("--elastic-alpha", None, "float"),
+        ("--blur-sigma-min", None, "float"), ("--blur-sigma-max", None, "float"),
+        ("--noise-std", None, "float"), ("--weak-factor", None, "int")],
+    "train": [
+        ("--stage", None, None), ("--data", None, None), ("--out", None, None),
+        ("--init", None, None), ("--teacher", None, None),
+        ("--loss-csv", None, None), ("--config", None, None),
+        ("--steps", None, "int"), ("--batch-size", None, "int"),
+        ("--lr", None, "float"), ("--gamma", None, "float"),
+        ("--gamma1", None, "float"), ("--seed", None, "int"),
+        ("--t-steps", None, "int"), ("--beta-start", None, "float"),
+        ("--beta-end", None, "float"), ("--dtype", None, "str"),
+        ("--checkpoint-every", None, "int")],
+    "restore": [
+        ("--ckpt", None, None), ("--in", None, None), ("--out", None, None),
+        ("--t1", None, "int"), ("--steps", 60, "int"),
+        ("--noise-start", False, None), ("--snapshots", 0, "int"),
+        ("--seed", 0, "int"), ("--batch", 64, "int")],
+    "eval": [("--pred", None, None), ("--ref", None, None),
+             ("--out", None, None)],
+    "ablate": [
+        ("--which", None, None), ("--train-data", None, None),
+        ("--eval-data", None, None), ("--ckpt", None, None),
+        ("--out", None, None), ("--config", None, None),
+        ("--steps-weak", None, "int"), ("--steps-strong", None, "int"),
+        ("--batch-size", None, "int"), ("--lr", None, "float"),
+        ("--gamma", None, "float"), ("--gamma1", None, "float"),
+        ("--seed", None, "int"), ("--t-steps", None, "int"),
+        ("--beta-start", None, "float"), ("--beta-end", None, "float"),
+        ("--dtype", None, "str"), ("--steps", None, "int"),
+        ("--t1", None, "int"), ("--t1-list", None, "str")],
+}
+
+_TRAIN_DEFAULTS = {
+    "batch_size": (int, 8), "lr": (float, 2e-4), "gamma": (float, 0.01),
+    "gamma1": (float, 0.9909), "seed": (int, 0), "t_steps": (int, 1000),
+    "beta_start": (float, 1e-4), "beta_end": (float, 0.02),
+    "dtype": (str, "float32")}
+
+# key -> (type, default) of the settings a flag or a config file gives
+_KEY_DEFAULTS = {
+    "gen-data": {
+        "count": (int, 4096), "seed": (int, 0),
+        "elastic_sigma": (float, 4.0), "elastic_alpha": (float, 2.0),
+        "blur_sigma_min": (float, 0.5), "blur_sigma_max": (float, 1.5),
+        "noise_std": (float, 1e-4), "weak_factor": (int, 4)},
+    "train": {"steps": (int, 2500), **_TRAIN_DEFAULTS,
+              "checkpoint_every": (int, 0)},
+    "ablate": {"steps_weak": (int, 2500), "steps_strong": (int, 2500),
+               **_TRAIN_DEFAULTS, "steps": (int, 60), "t1": (int, 30),
+               "t1_list": (str, "10,20,30,45,60")},
+}
+
+
+def test_parser_options_and_defaults_are_golden():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: [(a.option_strings[0], a.default,
+                   getattr(a.type, "__name__", None))
+                   for a in p._actions if a.option_strings[0] != "-h"]
+           for name, p in sub.choices.items()}
+    assert got == _OPTIONS
+    tables = {"gen-data": cli._GEN_KEYS, "train": cli._TRAIN_KEYS,
+              "ablate": cli._ABLATE_KEYS}
+    for name, table in tables.items():
+        assert list(table.items()) == list(_KEY_DEFAULTS[name].items()), name
+        for typ, default in table.values():
+            assert type(default) is typ
+
+
+def _header(path) -> dict[str, str]:
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    return dict(line.split("=", 1)
+                for line in raw[12:12 + n].decode().splitlines())
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "data"
+    assert main(["gen-data", "--out", str(out), "--count", "16"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def weak_ckpt(corpus):
+    out = corpus.parent / "weak.ckpt"
+    assert main(["train", "--stage", "weak", "--data", str(corpus),
+                 "--out", str(out), "--steps", "2", "--batch-size", "2"]) == 0
+    return out
+
+
+def _train_weak(corpus, out, *extra):
+    return main(["train", "--stage", "weak", "--data", str(corpus),
+                 "--out", str(out), *extra])
+
+
+def test_train_header_holds_the_run_settings(weak_ckpt):
+    h = _header(weak_ckpt)
+    assert (h["stage"], h["step"], h["seed"], h["gamma"]) == \
+        ("weak", "2", "0", "0.01")
+    assert (h["gamma1"], h["t_steps"], h["beta_start"], h["beta_end"]) == \
+        ("0.9909", "1000", "0.0001", "0.02")
+    assert (h["has_teacher"], h["has_opt"]) == ("0", "1")
+
+
+def test_train_config_file_equals_flags(corpus, weak_ckpt, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# same run as the flags\nsteps = 2\nbatch_size=2\n")
+    out = tmp_path / "from_file.ckpt"
+    assert _train_weak(corpus, out, "--config", str(cfg)) == 0
+    assert out.read_bytes() == weak_ckpt.read_bytes()
+
+
+def test_train_flag_overrides_config_file(corpus, weak_ckpt, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps=1\nbatch_size=3\nseed=5\nlr=0.1\n")
+    out = tmp_path / "override.ckpt"
+    assert _train_weak(corpus, out, "--config", str(cfg), "--steps", "2",
+                       "--batch-size", "2", "--seed", "0",
+                       "--lr", "2e-4") == 0
+    assert out.read_bytes() == weak_ckpt.read_bytes()
+
+
+def test_train_unknown_config_key_exits_2_listing_allowed(corpus, tmp_path,
+                                                          capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps=2\nlearning_rate=0.1\n")
+    out = tmp_path / "x.ckpt"
+    assert _train_weak(corpus, out, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "learning_rate" in err
+    assert ("(allowed: batch_size, beta_end, beta_start, checkpoint_every, "
+            "dtype, gamma, gamma1, lr, seed, steps, t_steps)") in err
+    assert not out.exists()
+
+
+def test_train_strong_from_weak_checkpoint(corpus, weak_ckpt, tmp_path):
+    out = tmp_path / "strong.ckpt"
+    assert main(["train", "--stage", "strong", "--data", str(corpus),
+                 "--teacher", str(weak_ckpt), "--out", str(out),
+                 "--steps", "2", "--batch-size", "2", "--seed", "1"]) == 0
+    h = _header(out)
+    assert (h["stage"], h["step"], h["seed"]) == ("strong", "2", "1")
+    assert (h["has_teacher"], h["has_opt"]) == ("1", "1")
+    ck = load_checkpoint(out)
+    assert ck.student.spec == load_checkpoint(weak_ckpt).student.spec
+
+
+def test_ablate_sampling_writes_both_csvs(corpus, weak_ckpt, tmp_path):
+    out = tmp_path / "abl"
+    assert main(["ablate", "--which", "sampling", "--ckpt", str(weak_ckpt),
+                 "--eval-data", str(corpus), "--out", str(out),
+                 "--steps", "2", "--t1-list", "1,2"]) == 0
+    rows = (out / "sampling_ablation.csv").read_text().splitlines()
+    assert rows[0].startswith("variant,t1,nfe,")
+    assert [r.split(",")[:3] for r in rows[1:]] == \
+        [["t1=1", "1", "1"], ["t1=2", "2", "2"], ["noise_start", "2", "2"]]
+    items = (out / "sampling_per_item.csv").read_text().splitlines()
+    assert items[0] == "item_id,dist_t1=1,dist_t1=2,dist_noise_start"
+    assert len(items) == 17
+
+
+def test_ablate_pt_checkpoint_headers(corpus, tmp_path):
+    out = tmp_path / "pt"
+    assert main(["ablate", "--which", "pt", "--train-data", str(corpus),
+                 "--eval-data", str(corpus), "--out", str(out),
+                 "--steps-weak", "1", "--steps-strong", "2",
+                 "--batch-size", "2", "--seed", "4", "--steps", "2",
+                 "--t1", "1"]) == 0
+    pt, direct = _header(out / "progressive.ckpt"), _header(out / "direct.ckpt")
+    assert (pt["stage"], pt["step"], pt["seed"], pt["has_teacher"]) == \
+        ("strong", "2", "4", "1")
+    assert (direct["stage"], direct["step"], direct["seed"],
+            direct["has_teacher"]) == ("weak", "3", "4", "0")
+    assert pt["has_opt"] == direct["has_opt"] == "0"
+    rows = (out / "pt_ablation.csv").read_text().splitlines()
+    assert [r.split(",")[:2] for r in rows[1:]] == \
+        [["progressive", "3"], ["direct", "3"]]
+
+
+@pytest.mark.parametrize("batch", ["-3", "0"])
+def test_restore_rejects_non_positive_batch(tmp_path, capsys, batch):
+    spec = NetSpec(image_size=4, widths=(2, 2, 2, 2), emb_dim=2, groups=1)
+    ckpt = tmp_path / "tiny.ckpt"
+    save_checkpoint(ckpt, init_params(spec, Rng(0)))
+    img = tmp_path / "x.pgm"
+    write_pgm(img, Rng(1).uniform((4, 4)))
+    out = tmp_path / "out"
+    assert main(["restore", "--ckpt", str(ckpt), "--in", str(img),
+                 "--out", str(out), "--batch", batch]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--batch" in err
+    assert not out.exists()
+
+
+
+def test_restore_then_eval(corpus, weak_ckpt, tmp_path, capsys):
+    names = [f"0000{i}" for i in range(3)]
+    out = tmp_path / "restored"
+    assert main(["restore", "--ckpt", str(weak_ckpt), "--out", str(out),
+                 "--in", *(str(corpus / "strong" / f"{n}.pgm") for n in names),
+                 "--steps", "3", "--t1", "2", "--batch", "2"]) == 0
+    trace = (out / "trace.csv").read_text().splitlines()
+    assert trace[0] == "item_id,nfe,seconds"
+    assert [r.split(",")[:2] for r in trace[1:]] == [[n, "2"] for n in names]
+    assert sorted(p.name for p in out.glob("*.pgm")) == \
+        [f"{n}.pgm" for n in names]
+    report = tmp_path / "eval.csv"
+    # 16 references for 3 predictions: the unmatched items are named
+    assert main(["eval", "--pred", str(out), "--ref", str(corpus / "clean"),
+                 "--out", str(report)]) == 2
+    assert "00003" in capsys.readouterr().err
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for n in names:
+        (ref / f"{n}.pgm").write_bytes((corpus / "clean" / f"{n}.pgm")
+                                       .read_bytes())
+    assert main(["eval", "--pred", str(out), "--ref", str(ref),
+                 "--out", str(report)]) == 0
+    rows = report.read_text().splitlines()
+    assert rows[0] == "item_id,psnr,ssim"
+    assert [r.split(",")[0] for r in rows[1:]] == names + ["mean"]

@@ -171,6 +171,10 @@ def test_restore_boundaries():
     _, trace = restore(x, _zero_denoiser, r, t1=10, rng=Rng(0),
                        noise_start=True)
     assert trace.nfe == 10
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="batch_size"):
+            restore_batched(x, _zero_denoiser, r, t1=5, rng=Rng(0),
+                            batch_size=bad)
 
 
 def test_restore_deterministic_and_batch_invariant():

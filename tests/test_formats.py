@@ -1,12 +1,15 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from turbdiff.denoiser import init_params
-from turbdiff.formats import (CheckpointMeta, DataError, load_checkpoint,
-                              parse_config_text, read_config_file,
-                              read_manifest, read_pgm, save_checkpoint,
-                              write_manifest, write_pgm)
+from turbdiff.formats import (DataError, load_checkpoint, parse_config_text,
+                              read_config_file, read_manifest, read_pgm,
+                              save_checkpoint, write_manifest, write_pgm)
 from turbdiff.rng import Rng
+from turbdiff.training import Stage, TrainConfig
 
 from conftest import tiny_spec
 
@@ -67,11 +70,28 @@ def test_pgm_read_errors(tmp_path):
     trunc.write_bytes(b"P5\n4 4\n65535\n\x00\x00")
     with pytest.raises(DataError, match="truncated"):
         read_pgm(trunc)
+    # a 16-bit file cut at every byte, odd cuts inside the pixels included
+    full = tmp_path / "full.pgm"
+    write_pgm(full, Rng(2).uniform((3, 3)))
+    raw = full.read_bytes()
+    cut = tmp_path / "cut.pgm"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(DataError, match="cut.pgm"):
+            read_pgm(cut)
+    for dims in (b"-3 3", b"3 -3", b"0 3", b"3 0"):
+        bad.write_bytes(b"P5\n" + dims + b"\n65535\n" + bytes(18))
+        with pytest.raises(DataError, match="bad.pgm"):
+            read_pgm(bad)
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
+
+_FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
+            / "restore.ckpt")
+
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     spec = tiny_spec(0)
@@ -80,9 +100,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     opt_m = {k: Rng(3).gauss(v.data.shape) for k, v in student.tensors.items()}
     opt_v = {k: np.abs(Rng(4).gauss(v.data.shape))
              for k, v in student.tensors.items()}
-    meta = CheckpointMeta(stage="strong", step=123, gamma=0.01,
-                          gamma1=0.9909, seed=7, t_steps=1000,
-                          beta_start=1e-4, beta_end=0.02)
+    meta = TrainConfig(stage="strong", steps=123, gamma=0.01,
+                       gamma1=0.9909, seed=7, t_steps=1000,
+                       beta_start=1e-4, beta_end=0.02)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, student, teacher=teacher, opt_m=opt_m, opt_v=opt_v,
                     meta=meta)
@@ -95,11 +115,14 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
                               teacher.tensors[k].data)
         assert np.array_equal(ck.opt_m[k], opt_m[k])
         assert np.array_equal(ck.opt_v[k], opt_v[k])
-    # save(load(file)) reproduces the file byte for byte
-    path2 = tmp_path / "again.ckpt"
-    save_checkpoint(path2, ck.student, teacher=ck.teacher, opt_m=ck.opt_m,
-                    opt_v=ck.opt_v, meta=ck.meta)
-    assert path.read_bytes() == path2.read_bytes()
+    # save(load(file)) reproduces the file byte for byte, also for the
+    # trained student-only checkpoint the benchmark restores with
+    for src in (path, _FIXTURE):
+        ck = load_checkpoint(src)
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, ck.student, teacher=ck.teacher, opt_m=ck.opt_m,
+                        opt_v=ck.opt_v, meta=ck.meta)
+        assert again.read_bytes() == src.read_bytes(), src
 
 
 def test_checkpoint_student_only(tmp_path):
@@ -109,6 +132,29 @@ def test_checkpoint_student_only(tmp_path):
     ck = load_checkpoint(path)
     assert ck.teacher is None and ck.opt_m is None and ck.opt_v is None
     assert ck.student.tensors.keys() == student.tensors.keys()
+    assert ck.meta == TrainConfig(stage=Stage.WEAK_COND, steps=0)
+    assert (b"stage=weak\nstep=0\ngamma=0.01\ngamma1=0.9909\nseed=0\n"
+            b"t_steps=1000\nbeta_start=0.0001\nbeta_end=0.02\n"
+            b"has_teacher=0\nhas_opt=0\n") in path.read_bytes()
+
+
+def test_checkpoint_header_values_are_validated(tmp_path):
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(path, init_params(tiny_spec(1), Rng(5)))
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    header = raw[12:12 + n]
+    bad = tmp_path / "bad.ckpt"
+    for old, new in ((b"gamma=0.01", b"gamma=-1.0"),
+                     (b"gamma1=0.9909", b"gamma1=1.5"),
+                     (b"stage=weak", b"stage=medium"),
+                     (b"step=0", b"step=-1"),
+                     (b"seed=0", b"seed=zero")):
+        h = header.replace(old, new, 1)
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(h)) + h
+                        + raw[12 + n:])
+        with pytest.raises(DataError, match="bad header field"):
+            load_checkpoint(bad)
 
 
 def test_checkpoint_magic_and_corruption(tmp_path):
