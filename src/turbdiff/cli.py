@@ -226,8 +226,14 @@ def _checkpoint_sampler(student: DenoiserParams, meta: TrainConfig,
 def cmd_restore(args) -> int:
     if args.t1 is None:
         args.t1 = args.steps if args.noise_start else SAMPLER_T1
-    if args.t1 > args.steps:
-        raise UsageError(f"--t1 {args.t1} exceeds --steps {args.steps}")
+    if not 1 <= args.t1 <= args.steps:
+        raise DataError(f"--t1 must be in [1, --steps {args.steps}], "
+                        f"got {args.t1}")
+    if args.noise_start and args.t1 != args.steps:
+        raise DataError(f"--noise-start requires --t1 == --steps "
+                        f"{args.steps}, got {args.t1}")
+    if args.snapshots < 0:
+        raise DataError(f"--snapshots must be >= 0, got {args.snapshots}")
     if args.batch < 1:
         raise DataError(f"--batch must be >= 1, got {args.batch}")
     ckpt = load_checkpoint(args.ckpt)
@@ -247,7 +253,7 @@ def cmd_restore(args) -> int:
     if imgs:
         x = to_signed(np.stack(imgs)[:, None])
         rng = Rng(args.seed)
-        snapshot_every = args.snapshots or 0
+        snapshot_every = args.snapshots
         t0 = time.perf_counter()
         if snapshot_every:
             from .diffusion import restore
@@ -385,13 +391,18 @@ def cmd_ablate_pt(args, v) -> int:
 
 
 def cmd_ablate_sampling(args, v) -> int:
+    try:
+        t1_list = [int(s) for s in v["t1_list"].split(",") if s]
+    except ValueError:
+        raise DataError(f"--t1-list/t1_list: cannot parse {v['t1_list']!r} "
+                        f"as comma-separated integers")
+    bad = [t for t in t1_list if not (1 <= t <= v["steps"])]
+    if bad:
+        raise DataError(f"--t1-list/t1_list: values {bad} outside "
+                        f"[1, {v['steps']}]")
     eval_ds = _load_dataset(args.eval_data)
     ckpt = load_checkpoint(args.ckpt)
     os.makedirs(args.out, exist_ok=True)
-    t1_list = [int(s) for s in v["t1_list"].split(",") if s]
-    bad = [t for t in t1_list if not (1 <= t <= v["steps"])]
-    if bad:
-        raise UsageError(f"t1 values {bad} outside [1, {v['steps']}]")
 
     rows = ["variant,t1,nfe,seconds_per_item,psnr_mean,ssim_mean,dist_mean"]
     per_item: dict[str, np.ndarray] = {}

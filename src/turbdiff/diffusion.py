@@ -144,6 +144,9 @@ def restore(x: np.ndarray, denoise_fn, s: RespacedSchedule, t1: int,
         raise ValueError(f"restore: t1 must be in [1, {s.K}], got {t1}")
     if noise_start and t1 != s.K:
         raise ValueError(f"restore: noise_start requires t1 == K == {s.K}")
+    if snapshot_every < 0:
+        raise ValueError(f"restore: snapshot_every must be >= 0, "
+                         f"got {snapshot_every}")
     bsz = x.shape[0]
     item_shape = x.shape[1:]
     rngs = [rng.stream(stream_offset + i) for i in range(bsz)]

@@ -218,7 +218,8 @@ def test_train_strong_from_weak_checkpoint(corpus, weak_ckpt, tmp_path):
     assert ck.student.spec == load_checkpoint(weak_ckpt).student.spec
 
 
-def test_ablate_sampling_writes_both_csvs(corpus, weak_ckpt, tmp_path):
+def test_ablate_sampling_writes_both_csvs(corpus, weak_ckpt, tmp_path,
+                                          capsys):
     out = tmp_path / "abl"
     assert main(["ablate", "--which", "sampling", "--ckpt", str(weak_ckpt),
                  "--eval-data", str(corpus), "--out", str(out),
@@ -230,6 +231,16 @@ def test_ablate_sampling_writes_both_csvs(corpus, weak_ckpt, tmp_path):
     items = (out / "sampling_per_item.csv").read_text().splitlines()
     assert items[0] == "item_id,dist_t1=1,dist_t1=2,dist_noise_start"
     assert len(items) == 17
+    # a malformed or out-of-range list is rejected before --out exists
+    for i, bad in enumerate(["1,x", "1,3", "0"]):
+        out = tmp_path / f"bad{i}"
+        capsys.readouterr()
+        assert main(["ablate", "--which", "sampling", "--ckpt", str(weak_ckpt),
+                     "--eval-data", str(corpus), "--out", str(out),
+                     "--steps", "2", "--t1-list", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--t1-list" in err
+        assert not out.exists()
 
 
 def test_ablate_pt_checkpoint_headers(corpus, tmp_path):
@@ -250,19 +261,49 @@ def test_ablate_pt_checkpoint_headers(corpus, tmp_path):
         [["progressive", "3"], ["direct", "3"]]
 
 
-@pytest.mark.parametrize("batch", ["-3", "0"])
-def test_restore_rejects_non_positive_batch(tmp_path, capsys, batch):
+def _restore_tiny(tmp_path, *flags) -> tuple[int, object]:
+    """``restore`` of one 4x4 image on a fresh 4x4 checkpoint, and --out."""
     spec = NetSpec(image_size=4, widths=(2, 2, 2, 2), emb_dim=2, groups=1)
     ckpt = tmp_path / "tiny.ckpt"
     save_checkpoint(ckpt, init_params(spec, Rng(0)))
     img = tmp_path / "x.pgm"
     write_pgm(img, Rng(1).uniform((4, 4)))
     out = tmp_path / "out"
-    assert main(["restore", "--ckpt", str(ckpt), "--in", str(img),
-                 "--out", str(out), "--batch", batch]) == 2
+    return main(["restore", "--ckpt", str(ckpt), "--in", str(img),
+                 "--out", str(out), *flags]), out
+
+
+@pytest.mark.parametrize("batch", ["-3", "0"])
+def test_restore_rejects_non_positive_batch(tmp_path, capsys, batch):
+    code, out = _restore_tiny(tmp_path, "--batch", batch)
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--batch" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (("--t1", "0"), "--t1"), (("--t1", "-2"), "--t1"),
+    (("--steps", "5", "--t1", "6"), "--t1"),
+    (("--steps", "5", "--t1", "3", "--noise-start"), "--noise-start"),
+    (("--snapshots", "-1"), "--snapshots")],
+    ids=["t1-zero", "t1-negative", "t1-over-steps", "noise-start-t1",
+         "snapshots-negative"])
+def test_restore_rejects_bad_sampler_flags(tmp_path, capsys, flags, named):
+    code, out = _restore_tiny(tmp_path, *flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+def test_restore_snapshots(tmp_path):
+    code, out = _restore_tiny(tmp_path, "--steps", "5", "--t1", "3",
+                              "--snapshots", "2")
+    assert code == 0
+    # respaced steps 3 and 1 of 5 (t = 500 and 1): the first and the last
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == \
+        ["x_t0001.pgm", "x_t0500.pgm"]
 
 
 

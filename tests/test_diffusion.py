@@ -197,6 +197,9 @@ def test_restore_snapshots():
     assert steps[0] == int(r.steps[5])     # first reverse step
     assert steps[-1] == int(r.steps[0])    # final step always recorded
     assert all(s.shape == x.shape for _, s in trace.snapshots)
+    # (t1 - k) % M == 0 holds at every step for M < 0
+    with pytest.raises(ValueError, match="snapshot_every"):
+        restore(x, _zero_denoiser, r, t1=6, rng=Rng(0), snapshot_every=-1)
 
 
 def test_range_conversions():
