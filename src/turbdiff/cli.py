@@ -34,7 +34,7 @@ from .formats import (DataError, load_checkpoint, load_dataset_dir,
 from .metrics import evaluate_pairs
 from .rng import Rng
 from .schedule import respace
-from .toyfaces import render, sample_spec
+from .toyfaces import SIZE, render, sample_spec
 from .training import (NumericError, PairedDataset, Stage, TrainConfig,
                        history_csv_rows, train_stage)
 from .turbulence import DegradationConfig, degrade_strong, degrade_weak
@@ -109,6 +109,9 @@ def cmd_gen_data(args) -> int:
     v = _resolve(args, _GEN_KEYS, args.config)
     if v["count"] < 0:
         raise DataError(f"count must be >= 0, got {v['count']}")
+    if v["weak_factor"] < 1 or SIZE % v["weak_factor"]:
+        raise DataError(f"--weak-factor/weak_factor must be >= 1 and divide "
+                        f"the image size {SIZE}, got {v['weak_factor']}")
     cfg = DegradationConfig(
         elastic_sigma=v["elastic_sigma"], elastic_alpha=v["elastic_alpha"],
         blur_sigma_range=(v["blur_sigma_min"], v["blur_sigma_max"]),
@@ -341,6 +344,9 @@ def _restore_eval(params: DenoiserParams, meta: TrainConfig,
 
 
 def cmd_ablate_pt(args, v) -> int:
+    if not 1 <= v["t1"] <= v["steps"]:
+        raise DataError(f"--t1/t1 must be in [1, --steps {v['steps']}], "
+                        f"got {v['t1']}")
     train_ds = _load_dataset(args.train_data)
     eval_ds = _load_dataset(args.eval_data)
     os.makedirs(args.out, exist_ok=True)

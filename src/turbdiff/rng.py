@@ -11,6 +11,8 @@ Gaussians are produced by the Box–Muller transform over the uniform stream.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -83,7 +85,7 @@ class Rng:
     def uniform(self, shape) -> np.ndarray:
         """i.i.d. uniforms in [0, 1), one counter word per value."""
         shape = _check_shape(shape)
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U64_TO_UNIT
         return u.reshape(shape)
 
@@ -101,7 +103,7 @@ class Rng:
         sine partner).
         """
         shape = _check_shape(shape)
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         m = (n + 1) // 2
         u = (self._raw(2 * m) >> np.uint64(11)).astype(np.float64) * _U64_TO_UNIT
         u1 = 1.0 - u[:m]  # (0, 1]: keeps log finite

@@ -18,6 +18,7 @@ Images here are 2-D (H, W) float arrays in [0, 1].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,8 @@ class DegradationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.elastic_sigma < 0:
+            raise ValueError(f"elastic_sigma must be >= 0, got {self.elastic_sigma}")
         if self.elastic_alpha < 0:
             raise ValueError(f"elastic_alpha must be >= 0, got {self.elastic_alpha}")
         lo, hi = self.blur_sigma_range
@@ -72,12 +75,13 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
 
 
 def _smooth(a: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian smoothing with edge-clamped boundaries."""
+    """Separable Gaussian smoothing over the last two axes with
+    edge-clamped boundaries; leading axes stack independent images."""
     k = gaussian_kernel1d(sigma)
     if len(k) == 1:
         return a
-    a = ndimage.correlate1d(a, k, axis=0, mode="nearest")
-    return ndimage.correlate1d(a, k, axis=1, mode="nearest")
+    a = ndimage.correlate1d(a, k, axis=-2, mode="nearest")
+    return ndimage.correlate1d(a, k, axis=-1, mode="nearest")
 
 
 def make_field(shape: tuple[int, int], config: DegradationConfig,
@@ -86,12 +90,10 @@ def make_field(shape: tuple[int, int], config: DegradationConfig,
 
     Raw displacements are i.i.d. U(-1, 1); smoothing with a sum-1 kernel
     keeps them in [-1, 1], so the scaled field never exceeds the amplitude.
-    Consumes the stream in the order dx, dy.
+    Consumes the stream in the order dx, dy (one draw of both).
     """
-    dx = config.elastic_alpha * _smooth(
-        2.0 * rng.uniform(shape) - 1.0, config.elastic_sigma)
-    dy = config.elastic_alpha * _smooth(
-        2.0 * rng.uniform(shape) - 1.0, config.elastic_sigma)
+    dx, dy = config.elastic_alpha * _smooth(
+        2.0 * rng.uniform((2, *shape)) - 1.0, config.elastic_sigma)
     return DisplacementField(dx=dx, dy=dy)
 
 
@@ -102,8 +104,8 @@ def warp(img: np.ndarray, field: DisplacementField) -> np.ndarray:
     if field.dx.shape != img.shape or field.dy.shape != img.shape:
         raise ValueError(
             f"warp: field shape {field.dx.shape} != image shape {img.shape}")
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xs = np.arange(w, dtype=np.float64)[None, :]
     xq = np.clip(xs + field.dx, 0.0, w - 1.0)
     yq = np.clip(ys + field.dy, 0.0, h - 1.0)
     x0 = np.floor(xq).astype(np.int64)
@@ -144,8 +146,25 @@ def degrade_strong(img: np.ndarray, config: DegradationConfig,
     return np.clip(out, 0.0, 1.0)
 
 
+@functools.cache
+def _zoom_operator(n: int, factor: int) -> np.ndarray:
+    """(n * factor, n) matrix of the 1-D bicubic ``ndimage.zoom`` by
+    ``factor``: column j is the zoom of the j-th unit vector.  Read-only,
+    since every caller shares the cached array."""
+    z = np.stack([ndimage.zoom(e, factor, order=3, mode="nearest",
+                               grid_mode=True) for e in np.eye(n)], axis=1)
+    z.setflags(write=False)
+    return z
+
+
 def degrade_weak(img: np.ndarray, factor: int = 4) -> np.ndarray:
-    """Box-downsample by ``factor`` then bicubic upsample back (deterministic)."""
+    """Box-downsample by ``factor`` then bicubic upsample back (deterministic).
+
+    The upsample is ``ndimage.zoom(down, factor, order=3, mode="nearest",
+    grid_mode=True)``, which is linear and separable, so it is applied as
+    ``Z_h @ down @ Z_w.T`` with each ``Z`` that same zoom on the unit
+    vectors (equal to the 2-D zoom up to float rounding, ~1e-15).
+    """
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
     if factor < 1:
@@ -155,7 +174,8 @@ def degrade_weak(img: np.ndarray, factor: int = 4) -> np.ndarray:
     if factor == 1:
         return img.copy()
     down = img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
-    up = ndimage.zoom(down, factor, order=3, mode="nearest", grid_mode=True)
+    up = (_zoom_operator(h // factor, factor) @ down
+          @ _zoom_operator(w // factor, factor).T)
     return np.clip(up, 0.0, 1.0)
 
 

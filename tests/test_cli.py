@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import math
 import struct
 
@@ -17,6 +18,87 @@ def test_gen_data_rejects_negative_count(tmp_path, capsys):
     assert main(["gen-data", "--out", str(out), "--count", "-1"]) == 2
     assert "count must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (("--weak-factor", "3"), "--weak-factor"),
+    (("--weak-factor", "0"), "--weak-factor"),
+    (("--weak-factor", "-4"), "--weak-factor"),
+    (("--elastic-sigma", "-1"), "elastic_sigma")],
+    ids=["weak-factor-3", "weak-factor-0", "weak-factor-negative",
+         "elastic-sigma-negative"])
+def test_gen_data_rejects_bad_degradation_flags(tmp_path, capsys, flags,
+                                                named):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out), "--count", "2", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+# sha256 of every file of ``gen-data --count 8 --seed 3``
+_GEN_DATA_SHA256 = {
+    "clean/00000.pgm":
+        "92dab366cb36ad0f4faa149a853e390ff5389fdb3527e650cfcd938d74093d75",
+    "clean/00001.pgm":
+        "bd573ccdb84d62351f5a066d408b2d97de26dbe7e36a2fe9d333c3b5694f0125",
+    "clean/00002.pgm":
+        "ede72d67a55b45ad64bc986ccb565c35461b5ea7e0e1eb60ea2ed19582a3e533",
+    "clean/00003.pgm":
+        "91955e7df6bb1f7740839a589ad3a387dcfa24d23c9377d9587a44c1adec2608",
+    "clean/00004.pgm":
+        "c36e6b4734f49bae8a87a14ab146ae9f9586a776178de07338841c54a2692e04",
+    "clean/00005.pgm":
+        "c88b12962a0e224b0d8d635b3e6f1082e468eb1f093998fb4549e763de3b12a4",
+    "clean/00006.pgm":
+        "3c3801449dc41ef6199e0a4e5f28515e6e22f33892c378bcf5cd79aa0ac16711",
+    "clean/00007.pgm":
+        "84781d7b5b4315fe1a22465bb91dc89f7737615c6fe451ab29afcbcb71a0c802",
+    "manifest.txt":
+        "585f7e8a768c18520f12bd49d74c2bf47e6abc72dce13e7ce1365f58ac9716ea",
+    "strong/00000.pgm":
+        "3e31717d8ffff7b74e20ebd62c94b8735411c73e36bb889fcab3d8badaf56ddc",
+    "strong/00001.pgm":
+        "9ea913a44fb27e5e0d969209efd0e44c23f1109e2c4c747648d1000419bd604f",
+    "strong/00002.pgm":
+        "0fee6716b34fdc54d4812493716c58e64b239a7fb8f97e11229f739db56c73bc",
+    "strong/00003.pgm":
+        "712cd8597cb4ccac7e5a736108fc06657a302f7a2817ea26152f60f8510d0432",
+    "strong/00004.pgm":
+        "31c5faff1233bd4b58e359d12da1b327c6d8a006a5d5fd5bd4ce03cd10f59b53",
+    "strong/00005.pgm":
+        "4132de0966944eb5a7f85cdfc7028dd4455242df6eb019625a770ed64c5d6fdf",
+    "strong/00006.pgm":
+        "2a5b0f2ba01e0b58c00d8ac31e34678ca148a6130962a327cdf4164f899f0017",
+    "strong/00007.pgm":
+        "999ea48c9c33420cbe8777ea72d2a8f693465119814d03361b77285f968f9bb8",
+    "weak/00000.pgm":
+        "726e32dd59acd30ebaca3f417f0420b79a47873be65ed17b6606908558cbbcc1",
+    "weak/00001.pgm":
+        "5240d984fd08a7c30d5fe22086fb21ee3a340c515cb3b0afa604d910d32f670a",
+    "weak/00002.pgm":
+        "ad593707c65e2927d392db6fae0a85b1526db8f55af54439d7fe50ee6438e7f2",
+    "weak/00003.pgm":
+        "52f66ff11ee8021307e68fabf6ac0aa2a9ee9d5de5db4d34c42922ff89066f80",
+    "weak/00004.pgm":
+        "7383ec15110bfa6dde45a6976ecf4b970820b3c577e122ffbfe889166e0d9930",
+    "weak/00005.pgm":
+        "503d14ff92c645eabd7fb98b2b27ae1a83070a0687af251a467422d60c472a57",
+    "weak/00006.pgm":
+        "ad5ee63ddd69edf50844abbdb3d50192231830bcdeaa6d7c96ea942da3f151f5",
+    "weak/00007.pgm":
+        "2ff01cda7ffe6050457eee161a4cefb3346bfb3f35206d62092bcb623257a05c",
+}
+
+
+def test_gen_data_bytes_are_golden(tmp_path):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out), "--count", "8",
+                 "--seed", "3"]) == 0
+    got = {p.relative_to(out).as_posix():
+           hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.rglob("*") if p.is_file()}
+    assert got == _GEN_DATA_SHA256
 
 
 def _record_starts(raw: bytes) -> list[int]:
@@ -259,6 +341,18 @@ def test_ablate_pt_checkpoint_headers(corpus, tmp_path):
     rows = (out / "pt_ablation.csv").read_text().splitlines()
     assert [r.split(",")[:2] for r in rows[1:]] == \
         [["progressive", "3"], ["direct", "3"]]
+
+
+@pytest.mark.parametrize("t1", ["0", "6"])
+def test_ablate_pt_rejects_t1_outside_steps(corpus, tmp_path, capsys, t1):
+    out = tmp_path / "pt"
+    assert main(["ablate", "--which", "pt", "--train-data", str(corpus),
+                 "--eval-data", str(corpus), "--out", str(out),
+                 "--steps-weak", "1", "--steps-strong", "1",
+                 "--batch-size", "2", "--steps", "5", "--t1", t1]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--t1" in err
+    assert not out.exists()
 
 
 def _restore_tiny(tmp_path, *flags) -> tuple[int, object]:

@@ -1,13 +1,75 @@
 import numpy as np
 
 from turbdiff.rng import Rng
-from turbdiff.toyfaces import FaceSpec, make_corpus, render, sample_spec
+from turbdiff.toyfaces import (_RANGES, FaceSpec, make_corpus, render,
+                               sample_spec)
 
 
 def test_fixed_seed_gives_identical_spec():
     a = sample_spec(Rng(42))
     b = sample_spec(Rng(42))
     assert a == b
+
+
+def _spec_field_by_field(rng: Rng, seed_tag: int = 0) -> FaceSpec:
+    """sample_spec as one one-value uniform_range draw per field."""
+    v = {k: float(rng.uniform_range(lo, hi, (1,))[0])
+         for k, (lo, hi) in _RANGES.items()}
+    return FaceSpec(
+        bg=v["bg"], skin=v["skin"], feature=v["feature"],
+        cx=v["cx"], cy=v["cy"], ax=v["ax"], ay=v["ay"],
+        eye_dx=v["eye_dx_frac"] * v["ax"],
+        eye_dy=v["eye_dy_frac"] * v["ay"],
+        eye_r=v["eye_r"],
+        mouth_y=v["mouth_y_frac"] * v["ay"],
+        mouth_halfw=v["mouth_halfw_frac"] * v["ax"],
+        mouth_curve=v["mouth_curve"],
+        mouth_thick=v["mouth_thick"],
+        seed=seed_tag,
+    )
+
+
+def test_sample_spec_equals_field_by_field_draws():
+    for i in range(300):
+        got = sample_spec(Rng(4).stream(i), seed_tag=i)
+        assert got == _spec_field_by_field(Rng(4).stream(i), seed_tag=i)
+    # both consume the same stream words
+    a, b = Rng(5), Rng(5)
+    sample_spec(a)
+    _spec_field_by_field(b)
+    assert np.array_equal(a.uniform((3,)), b.uniform((3,)))
+
+
+def _render_meshgrid(spec: FaceSpec, size: int) -> np.ndarray:
+    """render on full meshgrid coordinates with numpy's 2x2 box mean."""
+    ss = 2 * size
+    c = (np.arange(ss) + 0.5) / 2.0 - 0.5
+    ys, xs = np.meshgrid(c, c, indexing="ij")
+    ax = max(spec.ax, 0.5)
+    ay = max(spec.ay, 0.5)
+    img = np.full((ss, ss), spec.bg)
+    face = ((xs - spec.cx) / ax) ** 2 + ((ys - spec.cy) / ay) ** 2 <= 1.0
+    img[face] = spec.skin
+    for sx in (-1.0, 1.0):
+        ex = spec.cx + sx * spec.eye_dx
+        ey = spec.cy - spec.eye_dy
+        eye = (xs - ex) ** 2 + (ys - ey) ** 2 <= spec.eye_r ** 2
+        img[eye & face] = spec.feature
+    rel = (xs - spec.cx) / max(spec.mouth_halfw, 0.5)
+    curve_y = spec.cy + spec.mouth_y + spec.mouth_curve * rel ** 2
+    mouth = (np.abs(ys - curve_y) <= spec.mouth_thick / 2.0) \
+        & (np.abs(xs - spec.cx) <= spec.mouth_halfw)
+    img[mouth & face] = spec.feature
+    return img.reshape(size, 2, size, 2).mean(axis=(1, 3))
+
+
+def test_render_equals_meshgrid_reference():
+    for i in range(300):
+        spec = sample_spec(Rng(6).stream(i))
+        assert np.array_equal(render(spec), _render_meshgrid(spec, 32)), i
+    for size in (2, 8, 16):
+        spec = sample_spec(Rng(7).stream(size))
+        assert np.array_equal(render(spec, size), _render_meshgrid(spec, size))
 
 
 def test_render_is_deterministic():

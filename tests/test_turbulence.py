@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy import ndimage
+
 from turbdiff.rng import Rng
 from turbdiff.toyfaces import make_corpus
-from turbdiff.turbulence import (DegradationConfig, DisplacementField, blur,
-                                 degrade_item, degrade_strong, degrade_weak,
+from turbdiff.turbulence import (DegradationConfig, DisplacementField,
+                                 _smooth, _zoom_operator, blur, degrade_item,
+                                 degrade_strong, degrade_weak,
                                  gaussian_kernel1d, make_field, warp)
 
 
@@ -18,6 +21,18 @@ def test_zero_amplitude_gives_zero_field():
     cfg = DegradationConfig(elastic_alpha=0.0)
     f = make_field((16, 16), cfg, Rng(0))
     assert np.all(f.dx == 0.0) and np.all(f.dy == 0.0)
+
+
+def test_field_equals_dx_then_dy_draws():
+    # one draw of both components equals a draw and a smoothing per component
+    for sigma in (0.0, 1.5, 4.0):
+        cfg = DegradationConfig(elastic_sigma=sigma, elastic_alpha=1.7)
+        for seed, shape in ((0, (32, 32)), (1, (16, 24))):
+            f = make_field(shape, cfg, Rng(seed))
+            r = Rng(seed)
+            for got in (f.dx, f.dy):
+                want = 1.7 * _smooth(2.0 * r.uniform(shape) - 1.0, sigma)
+                assert np.array_equal(got, want)
 
 
 def test_field_amplitude_bound():
@@ -182,6 +197,8 @@ def test_default_degradation_psnr_band():
 
 
 def test_degradation_config_validation():
+    with pytest.raises(ValueError, match="elastic_sigma"):
+        DegradationConfig(elastic_sigma=-0.5)
     with pytest.raises(ValueError):
         DegradationConfig(elastic_alpha=-1.0)
     with pytest.raises(ValueError):
@@ -210,6 +227,29 @@ def test_degrade_weak_checkerboard_closed_form():
     img = np.indices((8, 8)).sum(axis=0) % 2
     out = degrade_weak(img.astype(float), 2)
     assert np.max(np.abs(out - 0.5)) < 1e-10
+
+
+@pytest.mark.parametrize("factor,shape", [
+    (1, (32, 32)), (2, (32, 32)), (4, (32, 32)), (8, (32, 32)),
+    (4, (16, 32)), (8, (32, 16)), (8, (8, 8))])
+def test_degrade_weak_matches_ndimage_zoom(factor, shape):
+    h, w = shape
+    for seed in range(20):
+        img = Rng(seed).uniform(shape)
+        down = img.reshape(h // factor, factor, w // factor, factor) \
+            .mean(axis=(1, 3))
+        want = np.clip(ndimage.zoom(down, factor, order=3, mode="nearest",
+                                    grid_mode=True), 0.0, 1.0)
+        got = degrade_weak(img, factor)
+        assert got.shape == shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_zoom_operator_is_cached_and_read_only():
+    z = _zoom_operator(8, 4)
+    assert z.shape == (32, 8) and z is _zoom_operator(8, 4)
+    with pytest.raises(ValueError):
+        z[0, 0] = 1.0
 
 
 def test_degrade_weak_divisibility():
