@@ -202,6 +202,18 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 _BLOCK_BYTES = 1 << 18
 
 
+def _padded_rows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """x (B,H,W,C) zero-padded by (kh // 2, kw // 2) on each side and
+    flattened to (B * Hp * Wp, C) rows."""
+    b, h, wd, c = x.shape
+    ph, pw = kh // 2, kw // 2
+    if not (ph or pw):
+        return np.ascontiguousarray(x).reshape(b * h * wd, c)
+    xp = np.zeros((b, h + 2 * ph, wd + 2 * pw, c), dtype=x.dtype)
+    xp[:, ph:ph + h, pw:pw + wd] = x
+    return xp.reshape(-1, c)
+
+
 def _conv_rows(x: np.ndarray, w: np.ndarray):
     """Stride-1 'same' convolution of x (B,H,W,Ci) with w (kh,kw,Ci,Co).
 
@@ -213,16 +225,10 @@ def _conv_rows(x: np.ndarray, w: np.ndarray):
     mix.  Returns the (B, H, W, Co) view of the output on the padded grid
     and the flattened padded input.
     """
-    b, h, wd, ci = x.shape
+    b, h, wd, _ = x.shape
     kh, kw, _, co = w.shape
-    ph, pw = kh // 2, kw // 2
-    hp, wp = h + 2 * ph, wd + 2 * pw
-    if ph or pw:
-        xp = np.zeros((b, hp, wp, ci), dtype=x.dtype)
-        xp[:, ph:ph + h, pw:pw + wd] = x
-    else:
-        xp = np.ascontiguousarray(x)
-    flat = xp.reshape(b * hp * wp, ci)
+    hp, wp = h + kh - 1, wd + kw - 1
+    flat = _padded_rows(x, kh, kw)
     taps = [(u * wp + v, w[u, v]) for u in range(kh) for v in range(kw)]
     n = flat.shape[0] - taps[-1][0]
     dtype = np.result_type(x, w)
@@ -271,14 +277,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         # dx: full correlation with the spatially flipped, channel-swapped
         # kernel.  Its padded grid has the forward's shape with g centred, so
         # output row r's gradient is gflat[c + r], and dW[u, v] pairs it with
-        # input row r + u*Wp + v
-        wr = np.ascontiguousarray(np.flip(wdat, (0, 1)).transpose(0, 1, 3, 2))
-        dx, gflat = _conv_rows(g, wr)
+        # input row r + u*Wp + v.  An input that needs no gradient (the
+        # stem's) gets None and only the padded g is built
+        if x.requires_grad:
+            wr = np.ascontiguousarray(
+                np.flip(wdat, (0, 1)).transpose(0, 1, 3, 2))
+            dx, gflat = _conv_rows(g, wr)
+            dx = np.ascontiguousarray(dx)
+        else:
+            dx, gflat = None, _padded_rows(g, kh, kw)
         wp = x.shape[2] + kw - 1
         n, c = gflat.shape[0] - (kh - 1) * wp - (kw - 1), (kh // 2) * wp + kw // 2
         dw = np.array([[xflat[u * wp + v:][:n].T @ gflat[c:c + n]
                         for v in range(kw)] for u in range(kh)])
-        grads = (np.ascontiguousarray(dx), dw)
+        grads = (dx, dw)
         return grads if b is None else grads + (g.sum(axis=(0, 1, 2)),)
 
     parents = (x, w) if b is None else (x, w, b)

@@ -19,6 +19,7 @@ failure (NaN abort).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -112,9 +113,13 @@ def cmd_gen_data(args) -> int:
     if v["weak_factor"] < 1 or SIZE % v["weak_factor"]:
         raise DataError(f"--weak-factor/weak_factor must be >= 1 and divide "
                         f"the image size {SIZE}, got {v['weak_factor']}")
+    lo, hi = v["blur_sigma_min"], v["blur_sigma_max"]
+    if not 0 <= lo <= hi:
+        raise DataError(f"--blur-sigma-min/--blur-sigma-max must satisfy "
+                        f"0 <= min <= max, got min {lo}, max {hi}")
     cfg = DegradationConfig(
         elastic_sigma=v["elastic_sigma"], elastic_alpha=v["elastic_alpha"],
-        blur_sigma_range=(v["blur_sigma_min"], v["blur_sigma_max"]),
+        blur_sigma_range=(lo, hi),
         noise_std=v["noise_std"], seed=v["seed"])
     out = args.out
     for sub in ("clean", "weak", "strong"):
@@ -532,10 +537,16 @@ def build_parser() -> _Parser:
     return p
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of :func:`main`, built once per process: building it
+    makes about 66 ``add_argument`` calls, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,6 +14,13 @@ A deterministic weak degradation (box downsample + bicubic upsample) stands
 in for a super-resolution-style task in the progressive training recipe.
 
 Images here are 2-D (H, W) float arrays in [0, 1].
+
+Every filter here is linear and separable, so each is an (n_out, n_in)
+matrix per axis, applied as ``M_h @ img @ M_w.T`` in numpy alone.  The
+matrices reproduce ``scipy.ndimage`` (the tests keep it as their oracle):
+the Gaussian smoothing is ``correlate1d(mode="nearest")`` with the kernel
+of :func:`gaussian_kernel1d`, and the bicubic upsample is
+``zoom(order=3, mode="nearest", grid_mode=True)``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .rng import Rng
 
@@ -50,8 +56,9 @@ class DegradationConfig:
         if self.elastic_alpha < 0:
             raise ValueError(f"elastic_alpha must be >= 0, got {self.elastic_alpha}")
         lo, hi = self.blur_sigma_range
-        if lo > hi or lo < 0:
-            raise ValueError(f"bad blur_sigma_range {self.blur_sigma_range}")
+        if not 0 <= lo <= hi:
+            raise ValueError(f"blur_sigma_range must satisfy 0 <= lo <= hi, "
+                             f"got {self.blur_sigma_range}")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
@@ -69,19 +76,59 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
     if sigma <= 0:
         return np.ones(1)
     radius = int(math.ceil(3.0 * sigma))
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
-    return k / k.sum()
+    k = np.arange(-radius, radius + 1, dtype=np.float64)
+    k *= k  # in place: blur builds a kernel for every item
+    k /= -2.0 * sigma * sigma
+    np.exp(k, out=k)
+    k /= np.add.reduce(k)
+    return k
 
 
-def _smooth(a: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian smoothing over the last two axes with
-    edge-clamped boundaries; leading axes stack independent images."""
+def _smoothing_matrix(n: int, sigma: float) -> np.ndarray:
+    """(n, n) matrix of ``ndimage.correlate1d(a, gaussian_kernel1d(sigma),
+    mode="nearest")`` along an axis of length n: output i is
+    ``sum_t k[t] * a[clip(i + t - r, 0, n - 1)]`` for the 2r + 1 taps k.
+
+    Row i of the unclamped band holds k at columns i..i + 2r of an
+    (n, n + 2r) grid, whose columns are the input positions -r..n - 1 + r;
+    the taps left of position 0 fold into column 0 and those right of
+    n - 1 into column n - 1.
+    """
     k = gaussian_kernel1d(sigma)
-    if len(k) == 1:
+    r = len(k) // 2
+    m = n + 2 * r
+    band = np.zeros((n, m + 1))
+    band[:, :2 * r + 1] = k  # read with row stride m, each row shifts by one
+    s = band.ravel()[:n * m].reshape(n, m)[:, r:r + n]
+    # row i's taps left of the image sum to k[:r - i]; by the kernel's
+    # symmetry row n - 1 - i's taps right of it sum to the same
+    folded = np.add.accumulate(k[:r])[::-1][:n]
+    s[:len(folded), 0] += folded
+    s[n - len(folded):, -1] += folded[::-1]
+    return s
+
+
+@functools.cache
+def _cached_smoothing_matrix(n: int, sigma: float) -> np.ndarray:
+    """Read-only :func:`_smoothing_matrix` for ``make_field``, whose sigma
+    is the fixed ``elastic_sigma``.  ``blur`` draws a new sigma for every
+    item, so it builds its matrix each call instead of growing this cache."""
+    s = np.ascontiguousarray(_smoothing_matrix(n, sigma))
+    s.setflags(write=False)
+    return s
+
+
+def _smooth(a: np.ndarray, sigma: float,
+            matrix=_smoothing_matrix) -> np.ndarray:
+    """Separable Gaussian smoothing over the last two axes with
+    edge-clamped boundaries; leading axes stack independent images.
+    ``matrix(n, sigma)`` gives the per-axis operator."""
+    if sigma <= 0:
         return a
-    a = ndimage.correlate1d(a, k, axis=-2, mode="nearest")
-    return ndimage.correlate1d(a, k, axis=-1, mode="nearest")
+    h, w = a.shape[-2:]
+    s_h = matrix(h, sigma)
+    s_w = s_h if w == h else matrix(w, sigma)
+    return s_h @ a @ s_w.T
 
 
 def make_field(shape: tuple[int, int], config: DegradationConfig,
@@ -93,7 +140,8 @@ def make_field(shape: tuple[int, int], config: DegradationConfig,
     Consumes the stream in the order dx, dy (one draw of both).
     """
     dx, dy = config.elastic_alpha * _smooth(
-        2.0 * rng.uniform((2, *shape)) - 1.0, config.elastic_sigma)
+        2.0 * rng.uniform((2, *shape)) - 1.0, config.elastic_sigma,
+        _cached_smoothing_matrix)
     return DisplacementField(dx=dx, dy=dy)
 
 
@@ -146,13 +194,44 @@ def degrade_strong(img: np.ndarray, config: DegradationConfig,
     return np.clip(out, 0.0, 1.0)
 
 
+# edge samples ndimage.zoom pads on each side before its spline prefilter
+# in mode "nearest"
+_ZOOM_PAD = 12
+
+
+def _cubic_bspline(t: np.ndarray) -> np.ndarray:
+    """Centred cubic B-spline, nonzero on (-2, 2)."""
+    t = np.abs(t)
+    return np.where(t < 1.0, 2.0 / 3.0 - t * t + 0.5 * t ** 3,
+                    np.where(t < 2.0, (2.0 - t) ** 3 / 6.0, 0.0))
+
+
 @functools.cache
 def _zoom_operator(n: int, factor: int) -> np.ndarray:
-    """(n * factor, n) matrix of the 1-D bicubic ``ndimage.zoom`` by
-    ``factor``: column j is the zoom of the j-th unit vector.  Read-only,
-    since every caller shares the cached array."""
-    z = np.stack([ndimage.zoom(e, factor, order=3, mode="nearest",
-                               grid_mode=True) for e in np.eye(n)], axis=1)
+    """(n * factor, n) matrix of the 1-D ``ndimage.zoom(order=3,
+    mode="nearest", grid_mode=True)`` by ``factor``, computed as ndimage
+    does:
+
+    1. pad ``_ZOOM_PAD`` copies of each edge sample on both sides (m
+       samples in all);
+    2. prefilter: the B-spline coefficients c solve
+       ``(c[k-1] + 4 c[k] + c[k+1]) / 6 = padded[k]`` with the
+       half-sample symmetric boundary ``c[-1] = c[0]``, ``c[m] = c[m-1]``
+       that ndimage's prefilter uses for mode "nearest";
+    3. output o is ``sum_k c[k] B3(x_o - k)`` at the grid-mode coordinate
+       ``x_o = (o + 0.5) * n / (n * factor) - 0.5``, shifted by the pad.
+
+    Read-only, since every caller shares the cached array.
+    """
+    m = n + 2 * _ZOOM_PAD
+    k = np.arange(m)
+    padded = np.zeros((m, n))
+    padded[k, np.clip(k - _ZOOM_PAD, 0, n - 1)] = 1.0
+    spline = (4.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)) / 6.0
+    spline[0, 0] = spline[-1, -1] = 5.0 / 6.0
+    coef = np.linalg.solve(spline, padded)
+    x = (np.arange(n * factor) + 0.5) * (n / (n * factor)) - 0.5 + _ZOOM_PAD
+    z = _cubic_bspline(x[:, None] - k) @ coef
     z.setflags(write=False)
     return z
 
@@ -162,8 +241,8 @@ def degrade_weak(img: np.ndarray, factor: int = 4) -> np.ndarray:
 
     The upsample is ``ndimage.zoom(down, factor, order=3, mode="nearest",
     grid_mode=True)``, which is linear and separable, so it is applied as
-    ``Z_h @ down @ Z_w.T`` with each ``Z`` that same zoom on the unit
-    vectors (equal to the 2-D zoom up to float rounding, ~1e-15).
+    ``Z_h @ down @ Z_w.T`` with each ``Z`` from :func:`_zoom_operator`
+    (equal to the 2-D zoom up to float rounding, ~1e-15).
     """
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape

@@ -51,6 +51,32 @@ def test_conv2d_matches_direct_convolution():
     assert np.allclose(out, ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 1), (3, 1)])
+def test_conv2d_skips_dx_of_an_input_without_grad(monkeypatch, kernel):
+    # like the stem's input: the weight and bias grads are the same
+    # whether or not x is tracked, and the untracked x costs no dx pass
+    rng = Rng(3)
+    x = rng.gauss((2, 5, 6, 3))
+    w = rng.gauss((*kernel, 3, 4))
+    b = rng.gauss((4,))
+    gout = rng.gauss((2, 5, 6, 4))
+    calls = []
+    conv_rows = ad._conv_rows
+    monkeypatch.setattr(ad, "_conv_rows",
+                        lambda *a: calls.append(1) or conv_rows(*a))
+    grads, counts = [], []
+    for x_grad in (True, False):
+        xt, wt, bt = t_(x, x_grad), t_(w), t_(b)
+        calls.clear()
+        ad.backward(ad.tsum(ad.mul(ad.conv2d(xt, wt, bt), t_(gout, False))))
+        grads.append((wt.grad, bt.grad))
+        counts.append(len(calls))
+        assert (xt.grad is not None) == x_grad
+    assert np.array_equal(grads[0][0], grads[1][0])
+    assert np.array_equal(grads[0][1], grads[1][1])
+    assert counts == [2, 1]
+
+
 def test_elementwise_shape_errors_name_both_shapes():
     with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
         ad.add(t_([1.0, 2.0]), t_([1.0, 2.0, 3.0]))

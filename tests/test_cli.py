@@ -24,9 +24,16 @@ def test_gen_data_rejects_negative_count(tmp_path, capsys):
     (("--weak-factor", "3"), "--weak-factor"),
     (("--weak-factor", "0"), "--weak-factor"),
     (("--weak-factor", "-4"), "--weak-factor"),
-    (("--elastic-sigma", "-1"), "elastic_sigma")],
+    (("--elastic-sigma", "-1"), "elastic_sigma"),
+    (("--blur-sigma-min", "2", "--blur-sigma-max", "1"),
+     "--blur-sigma-min/--blur-sigma-max must satisfy 0 <= min <= max, "
+     "got min 2.0, max 1.0"),
+    (("--blur-sigma-min", "-1"),
+     "--blur-sigma-min/--blur-sigma-max must satisfy 0 <= min <= max, "
+     "got min -1.0, max 1.5")],
     ids=["weak-factor-3", "weak-factor-0", "weak-factor-negative",
-         "elastic-sigma-negative"])
+         "elastic-sigma-negative", "blur-sigma-min-above-max",
+         "blur-sigma-min-negative"])
 def test_gen_data_rejects_bad_degradation_flags(tmp_path, capsys, flags,
                                                 named):
     out = tmp_path / "data"
@@ -34,6 +41,20 @@ def test_gen_data_rejects_bad_degradation_flags(tmp_path, capsys, flags,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["gen-data", "--out", str(tmp_path / "d"),
+                         "--count", "-1"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 # sha256 of every file of ``gen-data --count 8 --seed 3``

@@ -1,16 +1,79 @@
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from scipy import ndimage
 
+import turbdiff
 from turbdiff.rng import Rng
 from turbdiff.toyfaces import make_corpus
 from turbdiff.turbulence import (DegradationConfig, DisplacementField,
-                                 _smooth, _zoom_operator, blur, degrade_item,
+                                 _cached_smoothing_matrix, _smooth,
+                                 _zoom_operator, blur, degrade_item,
                                  degrade_strong, degrade_weak,
                                  gaussian_kernel1d, make_field, warp)
+
+
+# ---------------------------------------------------------------------------
+# numpy operators against their scipy.ndimage definitions
+# ---------------------------------------------------------------------------
+
+def test_importing_the_cli_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(turbdiff.__file__)))
+    code = ("import sys, turbdiff.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def _correlate_ref(a, sigma):
+    k = gaussian_kernel1d(sigma)
+    a = ndimage.correlate1d(a, k, axis=-2, mode="nearest")
+    return ndimage.correlate1d(a, k, axis=-1, mode="nearest")
+
+
+@pytest.mark.parametrize("sigma,shape", [
+    *((s, shape) for s in (0.5, 1.0, 1.5, 4.0)
+      for shape in ((32, 32), (2, 32, 32), (16, 32))),
+    (4.0, (8, 8))])  # the kernel (25 taps) is longer than the image
+def test_smooth_matches_ndimage_correlate1d(sigma, shape):
+    for seed in range(5):
+        a = Rng(seed).uniform(shape)
+        for got in (_smooth(a, sigma), _smooth(a, sigma,
+                                               _cached_smoothing_matrix)):
+            assert got.shape == shape
+            assert np.max(np.abs(got - _correlate_ref(a, sigma))) <= 1e-14
+
+
+@pytest.mark.parametrize("n,factor", [(1, 32), (2, 16), (4, 8), (8, 4),
+                                      (16, 2), (3, 5)])
+def test_zoom_operator_matches_ndimage_zoom_of_unit_vectors(n, factor):
+    want = np.stack([ndimage.zoom(e, factor, order=3, mode="nearest",
+                                  grid_mode=True) for e in np.eye(n)], axis=1)
+    assert np.max(np.abs(_zoom_operator(n, factor) - want)) <= 1e-14
+
+
+def test_blur_sigmas_grow_no_cache():
+    img = make_corpus(1, seed=2)[0]
+    cfg = DegradationConfig(seed=0)
+    degrade_strong(img, cfg, Rng(0))  # caches the elastic_sigma operator
+    before = (_cached_smoothing_matrix.cache_info().currsize,
+              _zoom_operator.cache_info().currsize)
+    for i in range(20):
+        degrade_strong(img, cfg, Rng(0).stream(i))  # a new blur sigma each
+        blur(img, 0.3 + 0.1 * i)
+    assert (_cached_smoothing_matrix.cache_info().currsize,
+            _zoom_operator.cache_info().currsize) == before
+    s = _cached_smoothing_matrix(32, cfg.elastic_sigma)
+    with pytest.raises(ValueError):
+        s[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +264,10 @@ def test_degradation_config_validation():
         DegradationConfig(elastic_sigma=-0.5)
     with pytest.raises(ValueError):
         DegradationConfig(elastic_alpha=-1.0)
-    with pytest.raises(ValueError):
-        DegradationConfig(blur_sigma_range=(2.0, 1.0))
+    for bad in ((2.0, 1.0), (-1.0, 1.5)):
+        msg = f"blur_sigma_range must satisfy 0 <= lo <= hi, got {bad}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            DegradationConfig(blur_sigma_range=bad)
     with pytest.raises(ValueError):
         DegradationConfig(noise_std=-1e-3)
 
