@@ -23,7 +23,11 @@ pass.  On other C libraries nothing is changed.
 
 Gradient conventions: :func:`backward` accumulates ``dLoss/dLeaf`` into
 ``.grad`` of every ``requires_grad`` leaf, additively across calls, until
-the caller resets ``.grad``.
+the caller resets ``.grad``.  It consumes the graph as it sweeps: once a
+node's vector-Jacobian product has run, the node drops its closure and its
+parents, so each saved activation is freed during the pass and a loss the
+caller still holds pins nothing.  A second :func:`backward` through a
+consumed node raises ``ValueError``; rebuild the graph with a new forward.
 """
 
 from __future__ import annotations
@@ -124,6 +128,11 @@ class Tensor:
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
+
+
+# stands in for the closure of a node that backward has run; a consumed
+# node is then neither a leaf nor differentiable again
+_CONSUMED = object()
 
 
 def _node(data, parents, vjp) -> Tensor:
@@ -270,7 +279,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b.shape != (co,):
             raise ValueError(f"conv2d: bias shape {b.shape} != ({co},)")
     wdat = w.data
-    out, xflat = _conv_rows(x.data, wdat)
+    out = _conv_rows(x.data, wdat)[0]
     out = np.ascontiguousarray(out) if b is None else out + b.data
 
     def vjp(g):
@@ -278,7 +287,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         # kernel.  Its padded grid has the forward's shape with g centred, so
         # output row r's gradient is gflat[c + r], and dW[u, v] pairs it with
         # input row r + u*Wp + v.  An input that needs no gradient (the
-        # stem's) gets None and only the padded g is built
+        # stem's) gets None and only the padded g is built.  The padded
+        # input is rebuilt here rather than kept from the forward: x itself
+        # is saved as the parent anyway, and a kept copy would hold every
+        # conv input twice until backward; the re-pads cost ~0.5% of a
+        # training step
         if x.requires_grad:
             wr = np.ascontiguousarray(
                 np.flip(wdat, (0, 1)).transpose(0, 1, 3, 2))
@@ -288,6 +301,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             dx, gflat = None, _padded_rows(g, kh, kw)
         wp = x.shape[2] + kw - 1
         n, c = gflat.shape[0] - (kh - 1) * wp - (kw - 1), (kh // 2) * wp + kw // 2
+        xflat = _padded_rows(x.data, kh, kw)
         dw = np.array([[xflat[u * wp + v:][:n].T @ gflat[c:c + n]
                         for v in range(kw)] for u in range(kh)])
         grads = (dx, dw)
@@ -478,7 +492,8 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dLeaf into every requires_grad leaf below ``loss``.
+    """Accumulate dLoss/dLeaf into every requires_grad leaf below ``loss``,
+    consuming the graph (see the module docstring).
 
     ``loss`` must be a scalar (shape ``()``).  Gradients add across calls;
     reset ``leaf.grad = None`` between optimization steps.
@@ -500,21 +515,30 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _CONSUMED:
+            raise ValueError("backward: graph already consumed by an "
+                             "earlier backward; run the forward again")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
+    # sweep in reverse topological order, popping each node and dropping
+    # its closure and parents once its vjp has run
     grads: dict[int, np.ndarray] = {id(loss): np.asarray(1.0, dtype=loss.data.dtype)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
+        if node._vjp is None:
+            if g is not None:
+                node.grad = g.copy() if node.grad is None else node.grad + g
+            continue
+        vjp, parents = node._vjp, node._parents
+        node._vjp, node._parents = _CONSUMED, ()
         if g is None:
             continue
-        if node._vjp is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(parents, vjp(g)):
             if not parent.requires_grad or pg is None:
                 continue
             acc = grads.get(id(parent))

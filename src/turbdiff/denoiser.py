@@ -14,7 +14,7 @@ architecture descriptor alone determines every shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,11 +111,6 @@ class DenoiserParams:
         out = {k: Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
                for k, t in self.tensors.items()}
         return DenoiserParams(self.spec, out)
-
-    def check_finite(self) -> None:
-        for k, t in self.tensors.items():
-            if not np.all(np.isfinite(t.data)):
-                raise FloatingPointError(f"non-finite values in parameter {k}")
 
 
 def init_params(spec: NetSpec, rng: Rng, requires_grad: bool = True) -> DenoiserParams:
@@ -255,7 +250,3 @@ def make_denoise_fn(params: DenoiserParams):
         return out
 
     return fn
-
-
-def default_spec(**overrides) -> NetSpec:
-    return replace(NetSpec(), **overrides) if overrides else NetSpec()

@@ -17,6 +17,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -67,8 +68,11 @@ class TrainConfig:
 
     def __post_init__(self):
         self.stage = Stage(self.stage)
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, "
+                             f"got {self.learning_rate}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (0.0 <= self.gamma1 <= 1.0):
             raise ValueError(f"gamma1 must be in [0, 1], got {self.gamma1}")
         if self.steps < 0 or self.batch_size < 1:
@@ -141,15 +145,17 @@ def loss_final(student, teacher, y0: np.ndarray, x_strong: np.ndarray,
     L_T regresses the injected noise from the strongly degraded conditioning;
     L_S pulls the student's prediction toward the teacher's prediction on
     the same noisy sample but weak conditioning.  The teacher is evaluated
-    without graph recording, so no gradient can reach it.
+    without graph recording, so no gradient can reach it.  It runs before
+    the student: its temporary activations are then freed before the
+    student's graph is built, instead of piling on top of it at the peak.
     """
     if teacher is None:
         raise ValueError("loss_final: teacher parameters are required")
     y_t = q_sample(y0, t, eps, s).astype(y0.dtype, copy=False)
-    pred_s = _predictor(student)(y_t, x_strong, t)
     with ad.no_grad():
         pred_t = _predictor(teacher)(y_t, x_weak, t)
     pred_t = pred_t.detach() if isinstance(pred_t, Tensor) else Tensor(pred_t)
+    pred_s = _predictor(student)(y_t, x_strong, t)
     l_t = ad.mse(Tensor(np.asarray(eps, dtype=pred_s.data.dtype)), pred_s)
     l_s = ad.mse(pred_t, pred_s)
     total = ad.add(l_t, ad.scale(l_s, gamma))
@@ -208,8 +214,12 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
     distillation stage requires ``teacher_init`` (normally the WEAK_COND
     result); the teacher then follows the student by EMA after every
     optimizer step.  ``checkpoint_fn(state)`` fires every
-    ``checkpoint_every`` steps when configured.
+    ``checkpoint_every`` steps when configured (0 never; negative values
+    are rejected).
     """
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0, "
+                         f"got {checkpoint_every}")
     stage = config.stage
     if stage in (Stage.WEAK_COND, Stage.STRONG_DISTILL) and dataset.weak is None:
         raise ValueError(f"stage {stage.value} needs weakly degraded images")
@@ -249,6 +259,9 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
     shape = (bsz,) + dataset.clean.shape[1:]
 
     for _ in range(config.steps):
+        # the last step's gradients go before this step's forward pass
+        for p in student.tensors.values():
+            p.grad = None
         idx = idx_rng.integers(0, n, (bsz,))
         y0 = _batch(dataset, idx, "clean").astype(dtype)
         t = t_rng.integers(1, sched.T + 1, (bsz,))
@@ -268,11 +281,9 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
                                           t, eps, sched, config.gamma)
             l_t, l_s, l_total = lt_t.item(), ls_t.item(), loss.item()
 
-        for p in student.tensors.values():
-            p.grad = None
         ad.backward(loss)
-        grads = {k: p.grad for k, p in student.tensors.items()}
-        optimizer_step(state, grads, config)
+        optimizer_step(state, {k: p.grad for k, p in student.tensors.items()},
+                       config)
         if stage is Stage.STRONG_DISTILL:
             state.teacher = ema_update(state.teacher, student, config.gamma1)
 

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,62 @@ def test_backward_accumulates_until_cleared():
     w.grad = None
     ad.backward(loss())
     assert np.allclose(w.grad, first)
+
+
+def _interior_nodes(root):
+    """Every node below ``root`` that has a vjp (and ``root`` itself)."""
+    out, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node.is_leaf:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        stack.extend(node._parents)
+    return out
+
+
+def test_backward_consumes_the_graph():
+    rng = Rng(5)
+    x = t_(rng.gauss((2, 6, 6, 2)))
+    w = t_(rng.gauss((3, 3, 2, 3)))
+    gamma, beta = t_(np.ones(3)), t_(np.zeros(3))
+    h = ad.silu(ad.group_norm(ad.conv2d(x, w), gamma, beta, groups=1))
+    loss = ad.add(ad.tmean(h), ad.mse(h, Tensor(np.zeros(h.shape))))
+    nodes = _interior_nodes(loss)
+    assert len(nodes) == 6
+    ad.backward(loss)
+    # every interior node dropped its vjp and parents, and none of them
+    # reads as a leaf; the leaves kept their gradients
+    for node in nodes:
+        assert node._parents == () and not callable(node._vjp)
+        assert not node.is_leaf
+    grads = [t.grad.copy() for t in (x, w, gamma, beta)]
+    with pytest.raises(ValueError, match="consumed"):
+        ad.backward(loss)
+    # a new graph over a consumed node is refused before any leaf moves
+    ones = t_(np.ones(h.shape))
+    with pytest.raises(ValueError, match="consumed"):
+        ad.backward(ad.tsum(ad.mul(h, ones)))
+    assert ones.grad is None
+    for t, g in zip((x, w, gamma, beta), grads):
+        assert np.array_equal(t.grad, g)
+
+
+def test_conv2d_graph_saves_no_padded_input():
+    # the graph of one conv2d holds its output and the parents it was given;
+    # a padded copy of x would add (8+2)^2/8^2 ~ 1.6x the output's bytes
+    rng = Rng(8)
+    x = t_(rng.gauss((4, 8, 8, 16)))
+    w, b = t_(rng.gauss((3, 3, 16, 16))), t_(rng.gauss((16,)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, w, b)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes <= grown <= 1.1 * out.data.nbytes
 
 
 def test_three_layer_net_finite_difference():

@@ -2,14 +2,17 @@ import argparse
 import hashlib
 import math
 import struct
+import types
 
+import numpy as np
 import pytest
 
 from turbdiff import cli
 from turbdiff.cli import build_parser, main
 from turbdiff.denoiser import NetSpec, init_params
-from turbdiff.formats import (DataError, load_checkpoint, save_checkpoint,
-                              write_pgm)
+from turbdiff.diffusion import restore
+from turbdiff.formats import (DataError, load_checkpoint, read_pgm,
+                              save_checkpoint, write_pgm)
 from turbdiff.rng import Rng
 
 
@@ -309,6 +312,23 @@ def test_train_unknown_config_key_exits_2_listing_allowed(corpus, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (("--checkpoint-every", "-1"), "--checkpoint-every/checkpoint_every"),
+    (("--lr", "-1"), "learning_rate"), (("--lr", "0"), "learning_rate"),
+    (("--lr", "nan"), "learning_rate"), (("--gamma", "nan"), "gamma"),
+    (("--gamma", "-0.5"), "gamma")],
+    ids=["checkpoint-every-negative", "lr-negative", "lr-zero", "lr-nan",
+         "gamma-nan", "gamma-negative"])
+def test_train_rejects_bad_flags_before_training(corpus, tmp_path, capsys,
+                                                 flags, named):
+    out = tmp_path / "x.ckpt"
+    assert _train_weak(corpus, out, "--steps", "2", "--batch-size", "2",
+                       *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
 def test_train_strong_from_weak_checkpoint(corpus, weak_ckpt, tmp_path):
     out = tmp_path / "strong.ckpt"
     assert main(["train", "--stage", "strong", "--data", str(corpus),
@@ -420,6 +440,50 @@ def test_restore_snapshots(tmp_path):
     assert sorted(p.name for p in (out / "snapshots").iterdir()) == \
         ["x_t0001.pgm", "x_t0500.pgm"]
 
+
+
+def _restore_three(corpus, ckpt, out, *flags):
+    names = [f"0000{i}" for i in range(3)]
+    return main(["restore", "--ckpt", str(ckpt), "--out", str(out),
+                 "--in", *(str(corpus / "strong" / f"{n}.pgm") for n in names),
+                 "--steps", "3", "--t1", "2", *flags])
+
+
+def test_restore_trace_times_each_chunk(corpus, weak_ckpt, tmp_path,
+                                        monkeypatch):
+    # a clock that the chunk of 2 advances by 3 s and the chunk of 1 by 1 s
+    now, cost = [0.0], [3.0, 1.0]
+    monkeypatch.setattr(cli, "time",
+                        types.SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def timed_restore(x, *args, **kwargs):
+        now[0] += cost.pop(0)
+        return restore(x, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "restore", timed_restore)
+    out = tmp_path / "restored"
+    assert _restore_three(corpus, weak_ckpt, out, "--batch", "2") == 0
+    assert (out / "trace.csv").read_text().splitlines() == [
+        "item_id,nfe,seconds", "00000,2,1.5000", "00001,2,1.5000",
+        "00002,2,1.0000"]
+
+
+def test_restore_snapshots_and_chunks_keep_item_streams(corpus, weak_ckpt,
+                                                         tmp_path):
+    runs = []
+    for i, flags in enumerate((("--batch", "2"),
+                               ("--batch", "2", "--snapshots", "1"),
+                               ("--batch", "1"))):
+        out = tmp_path / f"run{i}"
+        assert _restore_three(corpus, weak_ckpt, out, *flags) == 0
+        runs.append([read_pgm(out / f"0000{n}.pgm") for n in range(3)])
+    # snapshots of every item of every chunk: respaced steps 2 and 1 of 3
+    assert sorted(p.name for p in (tmp_path / "run1" / "snapshots").iterdir()) \
+        == [f"0000{n}_t{t:04d}.pgm" for n in range(3) for t in (1, 500)]
+    plain, snap, alone = runs
+    for n in range(3):
+        assert np.array_equal(plain[n], snap[n])
+        assert np.max(np.abs(plain[n] - alone[n])) <= 1.0 / 65535
 
 
 def test_restore_then_eval(corpus, weak_ckpt, tmp_path, capsys):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from turbdiff import autodiff as ad
 from turbdiff.autodiff import Tensor
-from turbdiff.denoiser import init_params
+from turbdiff.denoiser import NetSpec, init_params
 from turbdiff.rng import Rng
 from turbdiff.schedule import linear_schedule
 from turbdiff.training import (NumericError, PairedDataset, Stage,
@@ -371,6 +373,29 @@ def test_train_stage_loss_decreases_on_tiny_problem():
     assert last < first
 
 
+def test_train_stage_holds_one_graph_at_a_time():
+    # a step's graph is freed by its backward pass, so more steps do not
+    # raise the peak: were a step's graph alive through the next step's
+    # forward, 3 steps would peak ~1.7x as high as 1
+    spec = NetSpec(image_size=16, widths=(16, 32, 32, 16), emb_dim=16,
+                   groups=4)
+    ds = _toy_dataset(n=8, size=16)
+    init = init_params(spec, Rng(1))
+
+    def peak(steps):
+        cfg = TrainConfig(stage=Stage.STRONG_DISTILL, steps=steps,
+                          batch_size=4, t_steps=50)
+        tracemalloc.start()
+        try:
+            train_stage(cfg, ds, init=init, teacher_init=init)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(1), peak(3)
+    assert three <= 1.1 * one, (one, three)
+
+
 def test_train_stage_validation():
     ds_noweak = PairedDataset(clean=np.zeros((4, 1, 6, 6)))
     with pytest.raises(ValueError, match="weak"):
@@ -381,11 +406,22 @@ def test_train_stage_validation():
     init = init_params(tiny_spec(0), Rng(0))
     with pytest.raises(ValueError, match="does not take"):
         train_stage(_cfg(Stage.WEAK_COND), ds, init=init, teacher_init=init)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        train_stage(_cfg(Stage.WEAK_COND), ds, init=init,
+                    checkpoint_every=-1, checkpoint_fn=lambda state: None)
 
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(stage=Stage.WEAK_COND, gamma=-0.1)
+    for lr in (0.0, -1e-4, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(stage=Stage.WEAK_COND, learning_rate=lr)
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            TrainConfig(stage=Stage.WEAK_COND, gamma=gamma)
+    assert TrainConfig(stage=Stage.WEAK_COND, gamma=0.0,
+                       learning_rate=1e-9).gamma == 0.0
     with pytest.raises(ValueError):
         TrainConfig(stage=Stage.WEAK_COND, gamma1=1.5)
     with pytest.raises(ValueError):
