@@ -14,37 +14,4 @@ file formats plus command-line front end (:mod:`turbdiff.formats`,
 :mod:`turbdiff.cli`).
 """
 
-from .autodiff import Tensor, backward, no_grad
-from .denoiser import (DenoiserParams, NetSpec, eps_predict, init_params,
-                       make_denoise_fn, n_params, time_embedding)
-from .diffusion import (SampleTrace, posterior_mean, q_sample, q_step,
-                        restore, restore_batched, reverse_step, to_signed,
-                        to_unit)
-from .metrics import MetricReport, evaluate_pairs, psnr, ssim
-from .rng import Rng
-from .schedule import NoiseSchedule, RespacedSchedule, linear_schedule, respace
-from .toyfaces import FaceSpec, make_corpus, render, sample_spec
-from .training import (NumericError, PairedDataset, Stage, TrainConfig,
-                       TrainState, ema_update, loss_final, loss_simple,
-                       optimizer_step, train_stage)
-from .turbulence import (DegradationConfig, DisplacementField, blur,
-                         degrade_strong, degrade_weak, make_field, warp)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Tensor", "backward", "no_grad",
-    "DenoiserParams", "NetSpec", "eps_predict", "init_params",
-    "make_denoise_fn", "n_params", "time_embedding",
-    "SampleTrace", "posterior_mean", "q_sample", "q_step", "restore",
-    "restore_batched", "reverse_step", "to_signed", "to_unit",
-    "MetricReport", "evaluate_pairs", "psnr", "ssim",
-    "Rng",
-    "NoiseSchedule", "RespacedSchedule", "linear_schedule", "respace",
-    "FaceSpec", "make_corpus", "render", "sample_spec",
-    "NumericError", "PairedDataset", "Stage", "TrainConfig", "TrainState",
-    "ema_update", "loss_final", "loss_simple", "optimizer_step", "train_stage",
-    "DegradationConfig", "DisplacementField", "blur", "degrade_strong",
-    "degrade_weak", "make_field", "warp",
-    "__version__",
-]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -38,7 +39,7 @@ from .schedule import respace
 from .toyfaces import SIZE, render, sample_spec
 from .training import (NumericError, PairedDataset, Stage, TrainConfig,
                        history_csv_rows, train_stage)
-from .turbulence import DegradationConfig, degrade_strong, degrade_weak
+from .turbulence import DegradationConfig, degrade_item
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,6 +118,9 @@ def cmd_gen_data(args) -> int:
     if not 0 <= lo <= hi:
         raise DataError(f"--blur-sigma-min/--blur-sigma-max must satisfy "
                         f"0 <= min <= max, got min {lo}, max {hi}")
+    if hi == math.inf:
+        raise DataError(f"--blur-sigma-max/blur_sigma_max must be finite, "
+                        f"got {hi}")
     cfg = DegradationConfig(
         elastic_sigma=v["elastic_sigma"], elastic_alpha=v["elastic_alpha"],
         blur_sigma_range=(lo, hi),
@@ -128,8 +132,7 @@ def cmd_gen_data(args) -> int:
     rows = []
     for i in range(v["count"]):
         clean = render(sample_spec(base.stream(i), seed_tag=i))
-        weak = degrade_weak(clean, v["weak_factor"])
-        strong = degrade_strong(clean, cfg, Rng(cfg.seed).stream(i))
+        weak, strong = degrade_item(clean, cfg, i, v["weak_factor"])
         item = f"{i:05d}"
         paths = {s: os.path.join(s, f"{item}.pgm")
                  for s in ("clean", "weak", "strong")}
@@ -269,17 +272,18 @@ def cmd_restore(args) -> int:
     for lo in range(0, len(x), args.batch):
         hi = min(lo + args.batch, len(x))
         t0 = time.perf_counter()
-        out, tr = restore(x[lo:hi], fn, sched, args.t1, rng,
-                          noise_start=args.noise_start,
-                          snapshot_every=args.snapshots, stream_offset=lo)
+        out, snapshots = restore(x[lo:hi], fn, sched, args.t1, rng,
+                                 noise_start=args.noise_start,
+                                 snapshot_every=args.snapshots,
+                                 stream_offset=lo)
         per_item = (time.perf_counter() - t0) / (hi - lo)
-        for t_orig, snap in tr.snapshots:
+        for t_orig, snap in snapshots:
             for name, img in zip(names[lo:hi], to_unit(snap[:, 0])):
                 write_pgm(os.path.join(snap_dir, f"{name}_t{t_orig:04d}.pgm"),
                           img)
         for name, img in zip(names[lo:hi], to_unit(out[:, 0])):
             write_pgm(os.path.join(args.out, f"{name}.pgm"), img)
-            trace_rows.append(f"{name},{tr.nfe},{per_item:.4f}")
+            trace_rows.append(f"{name},{args.t1},{per_item:.4f}")
     _write_csv(os.path.join(args.out, "trace.csv"), trace_rows)
     print(f"restored {len(names)} images to {args.out} "
           f"(t1={args.t1}, steps={args.steps}, nfe={args.t1})")
@@ -329,9 +333,8 @@ def _restore_eval(params: DenoiserParams, meta: TrainConfig,
     fn, sched = _checkpoint_sampler(params, meta, steps)
     x = to_signed(eval_ds.strong)
     t0 = time.perf_counter()
-    out, trace = restore_batched(x, fn, sched, t1, Rng(seed),
-                                 noise_start=noise_start,
-                                 batch_size=SAMPLER_CHUNK)
+    out, _ = restore_batched(x, fn, sched, t1, Rng(seed),
+                             noise_start=noise_start, batch_size=SAMPLER_CHUNK)
     seconds = time.perf_counter() - t0
     restored = to_unit(out)
     ids = eval_ds.ids or [f"{i:05d}" for i in range(len(eval_ds))]
@@ -339,28 +342,36 @@ def _restore_eval(params: DenoiserParams, meta: TrainConfig,
         (ids[i], restored[i, 0], eval_ds.clean[i, 0])
         for i in range(len(eval_ds)))
     dists = np.mean((restored - eval_ds.strong) ** 2, axis=(1, 2, 3))
-    return restored, report, dists, seconds, trace.nfe
+    return report, dists, seconds
 
 
 def cmd_ablate_pt(args, v) -> int:
     if not 1 <= v["t1"] <= v["steps"]:
         raise DataError(f"--t1/t1 must be in [1, --steps {v['steps']}], "
                         f"got {v['t1']}")
+    for key in ("steps_weak", "steps_strong"):
+        if v[key] < 0:
+            raise DataError(f"--{key.replace('_', '-')}/{key} must be >= 0, "
+                            f"got {v[key]}")
+    total = v["steps_weak"] + v["steps_strong"]
+    # all three stage configs are built, and so checked, before any data is
+    # read; checkpoint headers hold the base seed, the stage and the steps
+    # taken
+    base = _train_config(v, stage=Stage.WEAK_COND, steps=v["steps_weak"])
+    distill = replace(base, stage=Stage.STRONG_DISTILL,
+                      steps=v["steps_strong"], seed=base.seed + 1)
+    direct = replace(base, steps=total, seed=base.seed + 2)
     train_ds = _load_dataset(args.train_data)
     eval_ds = _load_dataset(args.eval_data)
     os.makedirs(args.out, exist_ok=True)
-    total = v["steps_weak"] + v["steps_strong"]
-    # checkpoint headers hold the base seed, the stage and the steps taken
-    base = _train_config(v, stage=Stage.WEAK_COND, steps=v["steps_weak"])
 
     print(f"[1/3] progressive path: weak stage, {v['steps_weak']} steps")
     weak_state = train_stage(base, train_ds,
                              log_every=max(v["steps_weak"] // 5, 1))
     print(f"[2/3] progressive path: distillation stage, {v['steps_strong']} steps")
     pt_state = train_stage(
-        replace(base, stage=Stage.STRONG_DISTILL, steps=v["steps_strong"],
-                seed=base.seed + 1),
-        train_ds, init=weak_state.student, teacher_init=weak_state.student,
+        distill, train_ds, init=weak_state.student,
+        teacher_init=weak_state.student,
         log_every=max(v["steps_strong"] // 5, 1))
     save_checkpoint(os.path.join(args.out, "progressive.ckpt"),
                     pt_state.student, teacher=pt_state.teacher,
@@ -372,8 +383,8 @@ def cmd_ablate_pt(args, v) -> int:
     print(f"[3/3] direct path: strong conditioning, {total} steps")
     direct_ds = PairedDataset(clean=train_ds.clean, weak=train_ds.strong,
                               strong=None, ids=train_ds.ids)
-    direct_state = train_stage(replace(base, steps=total, seed=base.seed + 2),
-                               direct_ds, log_every=max(total // 5, 1))
+    direct_state = train_stage(direct, direct_ds,
+                               log_every=max(total // 5, 1))
     save_checkpoint(os.path.join(args.out, "direct.ckpt"),
                     direct_state.student,
                     meta=replace(base, steps=direct_state.step))
@@ -382,8 +393,8 @@ def cmd_ablate_pt(args, v) -> int:
     summary = {}
     for label, params in (("progressive", pt_state.student),
                           ("direct", direct_state.student)):
-        _, rep, _, _, _ = _restore_eval(params, base, eval_ds, v["t1"],
-                                        v["steps"], v["seed"] + 9)
+        rep, _, _ = _restore_eval(params, base, eval_ds, v["t1"],
+                                  v["steps"], v["seed"] + 9)
         rows.append(f"{label},{total},{rep.psnr_mean:.4f},"
                     f"{rep.psnr_median:.4f},{rep.ssim_mean:.5f}")
         summary[label] = rep
@@ -413,15 +424,15 @@ def cmd_ablate_sampling(args, v) -> int:
     per_item: dict[str, np.ndarray] = {}
     n = len(eval_ds)
     for t1 in t1_list:
-        _, rep, dists, secs, nfe = _restore_eval(
+        rep, dists, secs = _restore_eval(
             ckpt.student, ckpt.meta, eval_ds, t1, v["steps"], v["seed"])
-        rows.append(f"t1={t1},{t1},{nfe},{secs / n:.4f},{rep.psnr_mean:.4f},"
+        rows.append(f"t1={t1},{t1},{t1},{secs / n:.4f},{rep.psnr_mean:.4f},"
                     f"{rep.ssim_mean:.5f},{float(np.mean(dists)):.6f}")
         per_item[f"t1={t1}"] = dists
-    _, rep, dists, secs, nfe = _restore_eval(
+    rep, dists, secs = _restore_eval(
         ckpt.student, ckpt.meta, eval_ds, v["steps"], v["steps"], v["seed"],
         noise_start=True)
-    rows.append(f"noise_start,{v['steps']},{nfe},{secs / n:.4f},"
+    rows.append(f"noise_start,{v['steps']},{v['steps']},{secs / n:.4f},"
                 f"{rep.psnr_mean:.4f},{rep.ssim_mean:.5f},"
                 f"{float(np.mean(dists)):.6f}")
     per_item["noise_start"] = dists
@@ -485,7 +496,7 @@ def build_parser() -> _Parser:
     g.set_defaults(fn=cmd_gen_data)
 
     t = sub.add_parser("train", help="train one stage")
-    t.add_argument("--stage", required=True, choices=["uncond", "weak", "strong"])
+    t.add_argument("--stage", required=True, choices=[s.value for s in Stage])
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--init", default=None, help="checkpoint to start from")

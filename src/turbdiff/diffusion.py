@@ -1,17 +1,16 @@
-"""Forward noising, the conditional reverse sampler, and truncated-start
-restoration.
+"""Forward noising and the truncated-start conditional sampler.
 
 All functions here operate on plain numpy arrays (no gradient tracking):
 the forward process is closed-form, and sampling treats the denoiser as a
 black-box callable ``denoise_fn(y, x, t) -> eps_hat`` where ``y`` and ``x``
 are (B, C, H, W) arrays and ``t`` is the original-schedule timestep (int or
-per-item int array).  Images inside the diffusion processes live in
-[-1, 1]; use :func:`to_signed` / :func:`to_unit` at the storage boundary.
+per-item int array).  :func:`restore` is the one place a reverse step is
+written; :func:`restore_batched` runs it over memory-bounded chunks.
+Images inside the diffusion processes live in [-1, 1]; use
+:func:`to_signed` / :func:`to_unit` at the storage boundary.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,15 +26,6 @@ def to_signed(img01: np.ndarray) -> np.ndarray:
 def to_unit(img: np.ndarray) -> np.ndarray:
     """Map model range back to clipped [0, 1] storage range."""
     return np.clip((np.asarray(img, dtype=np.float64) + 1.0) / 2.0, 0.0, 1.0)
-
-
-@dataclass
-class SampleTrace:
-    """Bookkeeping for one reverse run: cost and optional snapshots."""
-
-    nfe: int = 0
-    start_step: int = 0
-    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
 def _bar_coefs(s, t, ndim: int):
@@ -95,32 +85,10 @@ def posterior_mean(y_t: np.ndarray, eps_hat: np.ndarray, k: int,
     return (y_t - (bk / np.sqrt(1.0 - abark)) * eps_hat) / np.sqrt(1.0 - bk)
 
 
-def reverse_step(y_t: np.ndarray, x: np.ndarray, k: int, denoise_fn,
-                 s: RespacedSchedule, rng: Rng | None = None,
-                 z: np.ndarray | None = None) -> np.ndarray:
-    """One conditional ancestral step k -> k-1 on the respaced grid.
-
-    The denoiser is evaluated at the original timestep ``steps[k-1]``.  For
-    k > 1 Gaussian noise with variance beta'_k is added, drawn from ``rng``
-    unless an explicit ``z`` is supplied; the final step (k == 1) is
-    deterministic.
-    """
-    if not (1 <= k <= s.K):
-        raise ValueError(f"reverse_step: step {k} outside [1, {s.K}]")
-    eps_hat = denoise_fn(y_t, x, int(s.steps[k - 1]))
-    mean = posterior_mean(y_t, eps_hat, k, s)
-    if k == 1:
-        return mean
-    if z is None:
-        if rng is None:
-            raise ValueError("reverse_step: need rng or explicit z for k > 1")
-        z = rng.gauss(y_t.shape)
-    return mean + np.sqrt(s.beta_prime[k - 1]) * z
-
-
 def restore(x: np.ndarray, denoise_fn, s: RespacedSchedule, t1: int,
             rng: Rng, noise_start: bool = False, snapshot_every: int = 0,
-            stream_offset: int = 0) -> tuple[np.ndarray, SampleTrace]:
+            stream_offset: int = 0
+            ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Truncated-start conditional sampling.
 
     Initializes ``y`` at respaced step ``t1`` by noising the degraded input
@@ -129,13 +97,20 @@ def restore(x: np.ndarray, denoise_fn, s: RespacedSchedule, t1: int,
     ``noise_start=True`` (allowed only when ``t1 == K``) the chain starts
     from pure Gaussian noise instead: classic full sampling.
 
+    Reverse step k -> k-1 evaluates the denoiser once, at the original
+    timestep ``steps[k-1]``, and moves ``y`` to :func:`posterior_mean`; for
+    k > 1 it adds Gaussian noise of variance beta'_k, and the final step is
+    deterministic.  So the number of network evaluations (NFE) is ``t1``.
+
     ``x`` must be (B, C, H, W) in model range.  Noise for batch item i at
     reverse step k comes from the keyed child stream
     ``rng.stream(stream_offset + i).stream(k)`` (the initializing draw uses
     key 0), so each item's result is independent of batch composition and
     chains with different ``t1`` share the noise of their common suffix of
-    steps.  Returns the restored batch and a :class:`SampleTrace` whose
-    ``nfe`` equals the number of reverse steps.
+    steps.  Returns the restored batch and the snapshots: one
+    ``(original timestep, batch)`` pair after the first reverse step, every
+    ``snapshot_every``-th step after it and the final step, or none when
+    ``snapshot_every`` is 0.
     """
     x = np.asarray(x)
     if x.ndim != 4:
@@ -159,33 +134,33 @@ def restore(x: np.ndarray, denoise_fn, s: RespacedSchedule, t1: int,
     else:
         y = q_sample(x, t1, draw(0), s)
 
-    trace = SampleTrace(nfe=0, start_step=t1)
+    snapshots = []
     for k in range(t1, 0, -1):
-        z = draw(k) if k > 1 else None
-        y = reverse_step(y, x, k, denoise_fn, s, z=z)
-        trace.nfe += 1
+        eps = denoise_fn(y, x, int(s.steps[k - 1]))
+        y = posterior_mean(y, eps, k, s)
+        if k > 1:
+            y = y + np.sqrt(s.beta_prime[k - 1]) * draw(k)
         if snapshot_every and (k == 1 or (t1 - k) % snapshot_every == 0):
-            trace.snapshots.append((int(s.steps[k - 1]), y.copy()))
-    return y, trace
+            snapshots.append((int(s.steps[k - 1]), y.copy()))
+    return y, snapshots
 
 
 def restore_batched(x: np.ndarray, denoise_fn, s: RespacedSchedule, t1: int,
                     rng: Rng, noise_start: bool = False,
-                    batch_size: int = 64) -> tuple[np.ndarray, SampleTrace]:
+                    batch_size: int = 64) -> tuple[np.ndarray, list]:
     """Run :func:`restore` over a large item set in memory-bounded chunks.
 
     Per-item noise streams are indexed globally, so the result for item i is
-    identical no matter how the set is chunked.
+    identical no matter how the set is chunked.  Returns the restored set
+    and an empty snapshot list, the same pair as :func:`restore`.
     """
     if batch_size < 1:
         raise ValueError(f"restore_batched: batch_size must be >= 1, "
                          f"got {batch_size}")
     x = np.asarray(x)
     out = np.empty_like(x)
-    trace = SampleTrace(nfe=0, start_step=t1)
     for lo in range(0, x.shape[0], batch_size):
         hi = min(lo + batch_size, x.shape[0])
-        out[lo:hi], tr = restore(x[lo:hi], denoise_fn, s, t1, rng,
-                                 noise_start=noise_start, stream_offset=lo)
-        trace.nfe = tr.nfe
-    return out, trace
+        out[lo:hi], _ = restore(x[lo:hi], denoise_fn, s, t1, rng,
+                                noise_start=noise_start, stream_offset=lo)
+    return out, []

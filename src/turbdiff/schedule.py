@@ -1,11 +1,11 @@
 """Variance schedules for the noising chain and their respaced sub-schedules.
 
-A full schedule holds the per-step variances beta_1..beta_T with the derived
-alpha_t = 1 - beta_t and the running product alpha_bar_t.  A respaced
-schedule evaluates a T-step-trained model on K <= T steps by picking an
-evenly spaced subsequence of the original timesteps and recomputing
-effective betas from alpha_bar ratios, so the marginal at the final step is
-preserved exactly (telescoping product).
+A full schedule holds the per-step variances beta_1..beta_T and the running
+product alpha_bar_t of alpha_t = 1 - beta_t.  A respaced schedule evaluates
+a T-step-trained model on K <= T steps by picking an evenly spaced
+subsequence of the original timesteps and recomputing effective betas from
+alpha_bar ratios, so the marginal at the final step is preserved exactly
+(telescoping product).
 
 Indexing is 1-based to match the usual chain notation: ``beta[t - 1]`` is
 the variance of step t.
@@ -24,8 +24,7 @@ class NoiseSchedule:
 
     T: int
     beta: np.ndarray        # (T,), beta[t-1] in (0, 1)
-    alpha: np.ndarray       # 1 - beta
-    alpha_bar: np.ndarray   # cumulative product of alpha, strictly decreasing
+    alpha_bar: np.ndarray   # cumulative product of 1 - beta, strictly decreasing
 
     def alpha_bar_at(self, t) -> np.ndarray:
         """alpha_bar_t for 1-based step t (int or int array)."""
@@ -68,9 +67,8 @@ def linear_schedule(T: int, beta_start: float = 1e-4,
         raise ValueError(
             f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
     beta = np.linspace(beta_start, beta_end, T)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    alpha_bar = np.cumprod(1.0 - beta)
+    return NoiseSchedule(T=T, beta=beta, alpha_bar=alpha_bar)
 
 
 def respace(s: NoiseSchedule, K: int) -> RespacedSchedule:

@@ -1,9 +1,7 @@
 """Losses, optimizer, EMA teacher update, and the staged training loop.
 
-Three stages are supported:
+The paper's recipe has two stages:
 
-* ``UNCONDITIONAL`` — plain noise-prediction on clean images (the
-  conditioning channel is fed zeros).
 * ``WEAK_COND`` — conditional noise-prediction on (clean, weakly degraded)
   pairs; this produces the teacher for the distillation stage.
 * ``STRONG_DISTILL`` — the student sees the strong degradation while a
@@ -36,7 +34,6 @@ class NumericError(RuntimeError):
 
 
 class Stage(str, Enum):
-    UNCONDITIONAL = "uncond"
     WEAK_COND = "weak"
     STRONG_DISTILL = "strong"
 
@@ -121,18 +118,16 @@ def _predictor(model):
     return lambda y_t, x, t: eps_predict(model, y_t, x, t)
 
 
-def loss_simple(model, y0: np.ndarray, x: np.ndarray | None, t,
+def loss_simple(model, y0: np.ndarray, x: np.ndarray, t,
                 eps: np.ndarray, s: NoiseSchedule) -> Tensor:
     """Noise-regression objective ||eps - eps_hat(y_t, x, t)||^2 (mean).
 
-    ``model`` is either DenoiserParams or any callable (y_t, x, t) -> Tensor.
-    ``x = None`` feeds a zero conditioning image (unconditional stage).
+    ``model`` is either DenoiserParams or any callable (y_t, x, t) -> Tensor;
+    ``x`` is the conditioning image.
     """
     if y0.shape != eps.shape:
         raise ValueError(f"loss_simple: shape mismatch {y0.shape} vs {eps.shape}")
     y_t = q_sample(y0, t, eps, s).astype(y0.dtype, copy=False)
-    if x is None:
-        x = np.zeros_like(y0)
     pred = _predictor(model)(y_t, x, t)
     return ad.mse(Tensor(np.asarray(eps, dtype=pred.data.dtype)), pred)
 
@@ -221,7 +216,7 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
         raise ValueError(f"checkpoint_every must be >= 0, "
                          f"got {checkpoint_every}")
     stage = config.stage
-    if stage in (Stage.WEAK_COND, Stage.STRONG_DISTILL) and dataset.weak is None:
+    if dataset.weak is None:
         raise ValueError(f"stage {stage.value} needs weakly degraded images")
     if stage is Stage.STRONG_DISTILL:
         if dataset.strong is None:
@@ -267,10 +262,7 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
         t = t_rng.integers(1, sched.T + 1, (bsz,))
         eps = eps_rng.gauss(shape).astype(dtype)
 
-        if stage is Stage.UNCONDITIONAL:
-            loss = loss_simple(student, y0, None, t, eps, sched)
-            l_t, l_s, l_total = loss.item(), 0.0, loss.item()
-        elif stage is Stage.WEAK_COND:
+        if stage is Stage.WEAK_COND:
             x = _batch(dataset, idx, "weak").astype(dtype)
             loss = loss_simple(student, y0, x, t, eps, sched)
             l_t, l_s, l_total = loss.item(), 0.0, loss.item()

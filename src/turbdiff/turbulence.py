@@ -51,16 +51,19 @@ class DegradationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.elastic_sigma < 0:
-            raise ValueError(f"elastic_sigma must be >= 0, got {self.elastic_sigma}")
-        if self.elastic_alpha < 0:
-            raise ValueError(f"elastic_alpha must be >= 0, got {self.elastic_alpha}")
+        # NaN fails every comparison, so each test is written to pass
+        # only for a valid value
+        for name in ("elastic_sigma", "elastic_alpha", "noise_std"):
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         lo, hi = self.blur_sigma_range
         if not 0 <= lo <= hi:
             raise ValueError(f"blur_sigma_range must satisfy 0 <= lo <= hi, "
                              f"got {self.blur_sigma_range}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if hi == math.inf:
+            raise ValueError(f"blur_sigma_range must be finite, "
+                             f"got {self.blur_sigma_range}")
 
 
 @dataclass

@@ -33,10 +33,18 @@ def test_gen_data_rejects_negative_count(tmp_path, capsys):
      "got min 2.0, max 1.0"),
     (("--blur-sigma-min", "-1"),
      "--blur-sigma-min/--blur-sigma-max must satisfy 0 <= min <= max, "
-     "got min -1.0, max 1.5")],
+     "got min -1.0, max 1.5"),
+    (("--noise-std", "nan"), "noise_std"),
+    (("--noise-std", "inf"), "noise_std"),
+    (("--elastic-sigma", "nan"), "elastic_sigma"),
+    (("--elastic-sigma", "inf"), "elastic_sigma"),
+    (("--blur-sigma-max", "inf"), "--blur-sigma-max"),
+    (("--elastic-alpha", "nan"), "elastic_alpha")],
     ids=["weak-factor-3", "weak-factor-0", "weak-factor-negative",
          "elastic-sigma-negative", "blur-sigma-min-above-max",
-         "blur-sigma-min-negative"])
+         "blur-sigma-min-negative", "noise-std-nan", "noise-std-inf",
+         "elastic-sigma-nan", "elastic-sigma-inf", "blur-sigma-max-inf",
+         "elastic-alpha-nan"])
 def test_gen_data_rejects_bad_degradation_flags(tmp_path, capsys, flags,
                                                 named):
     out = tmp_path / "data"
@@ -329,6 +337,15 @@ def test_train_rejects_bad_flags_before_training(corpus, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_train_has_no_uncond_stage(corpus, tmp_path):
+    # a usage error; a checkpoint header saying stage=uncond is a data error
+    # (test_formats.py)
+    out = tmp_path / "u.ckpt"
+    assert main(["train", "--stage", "uncond", "--data", str(corpus),
+                 "--out", str(out), "--steps", "1"]) == 1
+    assert not out.exists()
+
+
 def test_train_strong_from_weak_checkpoint(corpus, weak_ckpt, tmp_path):
     out = tmp_path / "strong.ckpt"
     assert main(["train", "--stage", "strong", "--data", str(corpus),
@@ -393,6 +410,24 @@ def test_ablate_pt_rejects_t1_outside_steps(corpus, tmp_path, capsys, t1):
                  "--batch-size", "2", "--steps", "5", "--t1", t1]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--t1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (("--steps-weak", "-1", "--steps-strong", "1"), "--steps-weak/steps_weak"),
+    (("--steps-weak", "3", "--steps-strong", "-1"),
+     "--steps-strong/steps_strong")],
+    ids=["steps-weak-negative", "steps-strong-negative"])
+def test_ablate_pt_rejects_stage_steps_before_training(corpus, tmp_path,
+                                                       capsys, flags, named):
+    out = tmp_path / "pt"
+    assert main(["ablate", "--which", "pt", "--train-data", str(corpus),
+                 "--eval-data", str(corpus), "--out", str(out),
+                 "--batch-size", "2", "--steps", "2", "--t1", "1",
+                 *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "weak stage" not in captured.out
     assert not out.exists()
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from turbdiff.diffusion import (posterior_mean, q_sample, q_step, restore,
-                                restore_batched, reverse_step, to_signed,
-                                to_unit)
+                                restore_batched, to_signed, to_unit)
 from turbdiff.rng import Rng
 from turbdiff.schedule import linear_schedule, respace
 
@@ -113,32 +112,25 @@ def _zero_denoiser(y, x, t):
     return np.zeros_like(y)
 
 
-def test_reverse_step_final_is_deterministic():
-    r = respace(linear_schedule(100), 8)
-    y = Rng(12).gauss((1, 1, 4, 4))
-    a = reverse_step(y, y, 1, _zero_denoiser, r, rng=Rng(1))
-    b = reverse_step(y, y, 1, _zero_denoiser, r, rng=Rng(2))
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("K", [1, 8])
+def test_restore_final_step_is_posterior_mean(K):
+    # at t1 = 1 the chain is its q_sample start and one reverse step, and
+    # the last step adds no noise
+    r = respace(linear_schedule(100), K)
+    x = Rng(12).gauss((2, 1, 4, 4))
+    calls = []
 
+    def half(y, xx, t):
+        calls.append(t)
+        return 0.5 * y
 
-def test_reverse_step_noise_contract():
-    r = respace(linear_schedule(100), 8)
-    y = Rng(13).gauss((1, 1, 4, 4))
-    a = reverse_step(y, y, 4, _zero_denoiser, r, rng=Rng(5))
-    b = reverse_step(y, y, 4, _zero_denoiser, r, rng=Rng(5))
-    c = reverse_step(y, y, 4, _zero_denoiser, r, rng=Rng(6))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    with pytest.raises(ValueError, match="rng"):
-        reverse_step(y, y, 4, _zero_denoiser, r)
-
-
-def test_single_step_chain_is_posterior_mean_only():
-    r = respace(linear_schedule(100), 1)
-    y = Rng(14).gauss((1, 1, 4, 4))
-    out = reverse_step(y, y, 1, _zero_denoiser, r, rng=Rng(0))
-    assert np.allclose(out, posterior_mean(y, np.zeros_like(y), 1, r),
-                       atol=1e-15)
+    out, snapshots = restore(x, half, r, t1=1, rng=Rng(3))
+    z = np.stack([Rng(3).stream(i).stream(0).gauss((1, 4, 4))
+                  for i in range(2)])
+    y1 = q_sample(x, 1, z, r)
+    assert np.array_equal(out, posterior_mean(y1, 0.5 * y1, 1, r))
+    assert calls == [int(r.steps[0])]
+    assert snapshots == []
 
 
 def test_restore_nfe_equals_t1():
@@ -150,10 +142,9 @@ def test_restore_nfe_equals_t1():
         calls.append(t)
         return np.zeros_like(y)
 
-    out, trace = restore(x, counting, r, t1=30, rng=Rng(0))
-    assert trace.nfe == 30
+    out, snapshots = restore(x, counting, r, t1=30, rng=Rng(0))
     assert len(calls) == 30
-    assert trace.start_step == 30
+    assert snapshots == []
     assert out.shape == x.shape
     # denoiser sees the original-schedule timesteps, descending
     assert calls == [int(r.steps[k - 1]) for k in range(30, 0, -1)]
@@ -168,9 +159,14 @@ def test_restore_boundaries():
         restore(x, _zero_denoiser, r, t1=11, rng=Rng(0))
     with pytest.raises(ValueError, match="noise_start"):
         restore(x, _zero_denoiser, r, t1=5, rng=Rng(0), noise_start=True)
-    _, trace = restore(x, _zero_denoiser, r, t1=10, rng=Rng(0),
-                       noise_start=True)
-    assert trace.nfe == 10
+    calls = []
+
+    def counting(y, xx, t):
+        calls.append(t)
+        return np.zeros_like(y)
+
+    restore(x, counting, r, t1=10, rng=Rng(0), noise_start=True)
+    assert len(calls) == 10
     for bad in (0, -3):
         with pytest.raises(ValueError, match="batch_size"):
             restore_batched(x, _zero_denoiser, r, t1=5, rng=Rng(0),
@@ -182,7 +178,9 @@ def test_restore_deterministic_and_batch_invariant():
     x = Rng(17).gauss((6, 1, 4, 4))
     a, _ = restore(x, _zero_denoiser, r, t1=6, rng=Rng(9))
     b, _ = restore(x, _zero_denoiser, r, t1=6, rng=Rng(9))
+    c, _ = restore(x, _zero_denoiser, r, t1=6, rng=Rng(10))
     assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
     chunked, _ = restore_batched(x, _zero_denoiser, r, t1=6, rng=Rng(9),
                                  batch_size=2)
     assert np.array_equal(a, chunked)
@@ -191,12 +189,12 @@ def test_restore_deterministic_and_batch_invariant():
 def test_restore_snapshots():
     r = respace(linear_schedule(100), 10)
     x = Rng(18).gauss((1, 1, 4, 4))
-    _, trace = restore(x, _zero_denoiser, r, t1=6, rng=Rng(0),
-                       snapshot_every=2)
-    steps = [t for t, _ in trace.snapshots]
+    _, snapshots = restore(x, _zero_denoiser, r, t1=6, rng=Rng(0),
+                           snapshot_every=2)
+    steps = [t for t, _ in snapshots]
     assert steps[0] == int(r.steps[5])     # first reverse step
     assert steps[-1] == int(r.steps[0])    # final step always recorded
-    assert all(s.shape == x.shape for _, s in trace.snapshots)
+    assert all(s.shape == x.shape for _, s in snapshots)
     # (t1 - k) % M == 0 holds at every step for M < 0
     with pytest.raises(ValueError, match="snapshot_every"):
         restore(x, _zero_denoiser, r, t1=6, rng=Rng(0), snapshot_every=-1)

@@ -148,6 +148,7 @@ def test_checkpoint_header_values_are_validated(tmp_path):
     for old, new in ((b"gamma=0.01", b"gamma=-1.0"),
                      (b"gamma1=0.9909", b"gamma1=1.5"),
                      (b"stage=weak", b"stage=medium"),
+                     (b"stage=weak", b"stage=uncond"),
                      (b"step=0", b"step=-1"),
                      (b"seed=0", b"seed=zero")):
         h = header.replace(old, new, 1)

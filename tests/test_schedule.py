@@ -28,7 +28,7 @@ def test_alpha_bar_matches_product_loop_oracle():
 
 def test_alpha_identity_and_monotonicity():
     s = linear_schedule(500)
-    assert np.array_equal(s.alpha, 1.0 - s.beta)
+    assert np.array_equal(s.alpha_bar, np.cumprod(1.0 - s.beta))
     assert np.all(np.diff(s.alpha_bar) < 0)
     assert np.all(np.diff(s.beta) >= 0)
     assert s.alpha_bar[-1] > 0

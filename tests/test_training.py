@@ -38,7 +38,8 @@ def test_loss_simple_perfect_predictor_is_zero():
     def perfect(y_t, x, tt):
         return Tensor(eps)
 
-    assert loss_simple(perfect, y0, None, t, eps, _sched()).item() == 0.0
+    assert loss_simple(perfect, y0, np.zeros_like(y0), t, eps,
+                       _sched()).item() == 0.0
 
 
 def test_loss_simple_zero_predictor_is_unit():
@@ -51,7 +52,7 @@ def test_loss_simple_zero_predictor_is_unit():
     def zero(y_t, x, tt):
         return Tensor(np.zeros_like(y_t))
 
-    val = loss_simple(zero, y0, None, t, eps, _sched()).item()
+    val = loss_simple(zero, y0, np.zeros_like(y0), t, eps, _sched()).item()
     assert abs(val - 1.0) < 0.1
 
 
@@ -65,7 +66,7 @@ def test_loss_simple_hand_computed_2x2():
     def stub(y_t, x, tt):
         return ad.scale(Tensor(y_t), 2.0)
 
-    got = loss_simple(stub, y0, None, t, eps, s).item()
+    got = loss_simple(stub, y0, np.zeros_like(y0), t, eps, s).item()
     ab = s.alpha_bar[t - 1]
     total = 0.0
     for i in range(2):
@@ -73,19 +74,6 @@ def test_loss_simple_hand_computed_2x2():
             y_t = (ab ** 0.5) * y0[0, 0, i, j] + ((1 - ab) ** 0.5) * eps[0, 0, i, j]
             total += (eps[0, 0, i, j] - 2.0 * y_t) ** 2
     assert abs(got - total / 4.0) < 1e-12
-
-
-def test_loss_simple_unconditional_feeds_zero_conditioning():
-    spec = tiny_spec(0)
-    params = randomized_params(spec, 0)
-    size = spec.image_size
-    rng = Rng(2)
-    y0 = rng.uniform((2, 1, size, size)) * 2 - 1
-    eps = rng.gauss((2, 1, size, size))
-    t = np.array([10, 20])
-    a = loss_simple(params, y0, None, t, eps, _sched()).item()
-    b = loss_simple(params, y0, np.zeros_like(y0), t, eps, _sched()).item()
-    assert a == b
 
 
 # ---------------------------------------------------------------------------

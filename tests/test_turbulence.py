@@ -270,6 +270,13 @@ def test_degradation_config_validation():
             DegradationConfig(blur_sigma_range=bad)
     with pytest.raises(ValueError):
         DegradationConfig(noise_std=-1e-3)
+    nan, inf = float("nan"), float("inf")
+    for key, bad in (("noise_std", nan), ("noise_std", inf),
+                     ("elastic_sigma", nan), ("elastic_sigma", inf),
+                     ("blur_sigma_range", (0.5, inf)),
+                     ("elastic_alpha", nan)):
+        with pytest.raises(ValueError, match=key):
+            DegradationConfig(**{key: bad})
 
 
 # ---------------------------------------------------------------------------
