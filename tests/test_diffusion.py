@@ -133,6 +133,27 @@ def test_restore_final_step_is_posterior_mean(K):
     assert snapshots == []
 
 
+def test_reverse_step_noise_contract():
+    # a reverse step k > 1 adds sqrt(beta'_k) times the keyed draw k of the
+    # item's stream; the same seed repeats the chain, another seed does not
+    r = respace(linear_schedule(100), 8)
+    x = Rng(13).gauss((2, 1, 4, 4))
+    a, _ = restore(x, _zero_denoiser, r, t1=2, rng=Rng(5))
+    b, _ = restore(x, _zero_denoiser, r, t1=2, rng=Rng(5))
+    c, _ = restore(x, _zero_denoiser, r, t1=2, rng=Rng(6))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+    def draw(key):
+        return np.stack([Rng(5).stream(i).stream(key).gauss((1, 4, 4))
+                         for i in range(2)])
+
+    zero = np.zeros_like(x)
+    y = q_sample(x, 2, draw(0), r)
+    y = posterior_mean(y, zero, 2, r) + np.sqrt(r.beta_prime[1]) * draw(2)
+    assert np.array_equal(a, posterior_mean(y, zero, 1, r))
+
+
 def test_restore_nfe_equals_t1():
     r = respace(linear_schedule(1000), 60)
     x = Rng(15).gauss((2, 1, 4, 4))
