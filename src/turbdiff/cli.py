@@ -256,11 +256,15 @@ def cmd_restore(args) -> int:
 
     names, imgs = [], []
     for path in args.images:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in names:
+            raise DataError(f"{args.images[names.index(name)]} and {path} "
+                            f"would both be restored to {name}.pgm")
         img = read_pgm(path)
         if img.shape != (size, size):
             raise DataError(f"{path}: resolution {img.shape} does not match "
                             f"the checkpoint's {size}x{size}")
-        names.append(os.path.splitext(os.path.basename(path))[0])
+        names.append(name)
         imgs.append(img)
     snap_dir = os.path.join(args.out, "snapshots")
     os.makedirs(snap_dir if args.snapshots else args.out, exist_ok=True)
@@ -337,9 +341,8 @@ def _restore_eval(params: DenoiserParams, meta: TrainConfig,
                              noise_start=noise_start, batch_size=SAMPLER_CHUNK)
     seconds = time.perf_counter() - t0
     restored = to_unit(out)
-    ids = eval_ds.ids or [f"{i:05d}" for i in range(len(eval_ds))]
     report = evaluate_pairs(
-        (ids[i], restored[i, 0], eval_ds.clean[i, 0])
+        (eval_ds.ids[i], restored[i, 0], eval_ds.clean[i, 0])
         for i in range(len(eval_ds)))
     dists = np.mean((restored - eval_ds.strong) ** 2, axis=(1, 2, 3))
     return report, dists, seconds
@@ -423,27 +426,23 @@ def cmd_ablate_sampling(args, v) -> int:
     rows = ["variant,t1,nfe,seconds_per_item,psnr_mean,ssim_mean,dist_mean"]
     per_item: dict[str, np.ndarray] = {}
     n = len(eval_ds)
-    for t1 in t1_list:
+    # the truncated starts, then the full chain from pure noise
+    variants = [(f"t1={t1}", t1, False) for t1 in t1_list]
+    variants.append(("noise_start", v["steps"], True))
+    for label, t1, noise_start in variants:
         rep, dists, secs = _restore_eval(
-            ckpt.student, ckpt.meta, eval_ds, t1, v["steps"], v["seed"])
-        rows.append(f"t1={t1},{t1},{t1},{secs / n:.4f},{rep.psnr_mean:.4f},"
+            ckpt.student, ckpt.meta, eval_ds, t1, v["steps"], v["seed"],
+            noise_start=noise_start)
+        rows.append(f"{label},{t1},{t1},{secs / n:.4f},{rep.psnr_mean:.4f},"
                     f"{rep.ssim_mean:.5f},{float(np.mean(dists)):.6f}")
-        per_item[f"t1={t1}"] = dists
-    rep, dists, secs = _restore_eval(
-        ckpt.student, ckpt.meta, eval_ds, v["steps"], v["steps"], v["seed"],
-        noise_start=True)
-    rows.append(f"noise_start,{v['steps']},{v['steps']},{secs / n:.4f},"
-                f"{rep.psnr_mean:.4f},{rep.ssim_mean:.5f},"
-                f"{float(np.mean(dists)):.6f}")
-    per_item["noise_start"] = dists
+        per_item[label] = dists
     _write_csv(os.path.join(args.out, "sampling_ablation.csv"), rows)
 
-    ids = eval_ds.ids or [f"{i:05d}" for i in range(n)]
     cols = list(per_item)
     item_rows = ["item_id," + ",".join(f"dist_{c}" for c in cols)]
-    for i in range(n):
-        item_rows.append(ids[i] + "," + ",".join(f"{per_item[c][i]:.6f}"
-                                                 for c in cols))
+    for i, item_id in enumerate(eval_ds.ids):
+        item_rows.append(item_id + "," + ",".join(f"{per_item[c][i]:.6f}"
+                                                  for c in cols))
     _write_csv(os.path.join(args.out, "sampling_per_item.csv"), item_rows)
     for line in rows:
         print(line)

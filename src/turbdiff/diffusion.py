@@ -3,7 +3,7 @@
 All functions here operate on plain numpy arrays (no gradient tracking):
 the forward process is closed-form, and sampling treats the denoiser as a
 black-box callable ``denoise_fn(y, x, t) -> eps_hat`` where ``y`` and ``x``
-are (B, C, H, W) arrays and ``t`` is the original-schedule timestep (int or
+are (B, C, H, W) arrays and ``t`` is the training-schedule timestep (int or
 per-item int array).  :func:`restore` is the one place a reverse step is
 written; :func:`restore_batched` runs it over memory-bounded chunks.
 Images inside the diffusion processes live in [-1, 1]; use
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import Rng
-from .schedule import NoiseSchedule, RespacedSchedule
+from .schedule import NoiseSchedule
 
 
 def to_signed(img01: np.ndarray) -> np.ndarray:
@@ -38,12 +38,13 @@ def _bar_coefs(s, t, ndim: int):
 
 
 def q_sample(y0: np.ndarray, t, eps: np.ndarray,
-             s: NoiseSchedule | RespacedSchedule) -> np.ndarray:
+             s: NoiseSchedule) -> np.ndarray:
     """Closed-form marginal: sqrt(abar_t) * y0 + sqrt(1 - abar_t) * eps.
 
-    ``t`` is 1-based on the schedule's own grid (original steps for a full
-    schedule, respaced index k for a respaced one) and may be an int or a
-    per-item int array matching the leading dimension of ``y0``.
+    ``t`` is a 1-based step on the schedule's own grid (for a respaced
+    schedule, its index k, not the training timestep ``steps[k - 1]``) and
+    may be an int or a per-item int array matching the leading dimension of
+    ``y0``.
     """
     y0 = np.asarray(y0)
     eps = np.asarray(eps)
@@ -69,37 +70,37 @@ def q_step(y_prev: np.ndarray, t, eps: np.ndarray, s: NoiseSchedule) -> np.ndarr
 
 
 def posterior_mean(y_t: np.ndarray, eps_hat: np.ndarray, k: int,
-                   s: RespacedSchedule) -> np.ndarray:
-    """Reverse-step mean from the predicted noise at respaced step k:
+                   s: NoiseSchedule) -> np.ndarray:
+    """Reverse-step mean from the predicted noise at step k:
 
-        (y_t - beta'_k / sqrt(1 - abar'_k) * eps_hat) / sqrt(1 - beta'_k)
+        (y_t - beta_k / sqrt(1 - abar_k) * eps_hat) / sqrt(1 - beta_k)
     """
     y_t = np.asarray(y_t)
     eps_hat = np.asarray(eps_hat)
     if y_t.shape != eps_hat.shape:
         raise ValueError(f"posterior_mean: shape mismatch {y_t.shape} vs {eps_hat.shape}")
-    if not (1 <= k <= s.K):
-        raise ValueError(f"posterior_mean: step {k} outside [1, {s.K}]")
-    bk = s.beta_prime[k - 1]
-    abark = s.alpha_bar_prime[k - 1]
+    abark = s.alpha_bar_at(k)
+    bk = s.beta[k - 1]
     return (y_t - (bk / np.sqrt(1.0 - abark)) * eps_hat) / np.sqrt(1.0 - bk)
 
 
-def restore(x: np.ndarray, denoise_fn, s: RespacedSchedule, t1: int,
+def restore(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
             rng: Rng, noise_start: bool = False, snapshot_every: int = 0,
             stream_offset: int = 0
             ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Truncated-start conditional sampling.
 
-    Initializes ``y`` at respaced step ``t1`` by noising the degraded input
-    ``x`` itself (the coarse structure of ``x`` survives, so only ``t1``
-    reverse steps are needed), then runs ancestral steps down to 1.  With
-    ``noise_start=True`` (allowed only when ``t1 == K``) the chain starts
+    ``s`` is the training schedule or a :func:`~turbdiff.schedule.respace`
+    of it, and ``t1`` is a step of its own grid, in [1, T].  Initializes
+    ``y`` at step ``t1`` by noising the degraded input ``x`` itself (the
+    coarse structure of ``x`` survives, so only ``t1`` reverse steps are
+    needed), then runs ancestral steps down to 1.  With
+    ``noise_start=True`` (allowed only when ``t1 == T``) the chain starts
     from pure Gaussian noise instead: classic full sampling.
 
-    Reverse step k -> k-1 evaluates the denoiser once, at the original
+    Reverse step k -> k-1 evaluates the denoiser once, at the training
     timestep ``steps[k-1]``, and moves ``y`` to :func:`posterior_mean`; for
-    k > 1 it adds Gaussian noise of variance beta'_k, and the final step is
+    k > 1 it adds Gaussian noise of variance beta_k, and the final step is
     deterministic.  So the number of network evaluations (NFE) is ``t1``.
 
     ``x`` must be (B, C, H, W) in model range.  Noise for batch item i at
@@ -108,17 +109,17 @@ def restore(x: np.ndarray, denoise_fn, s: RespacedSchedule, t1: int,
     key 0), so each item's result is independent of batch composition and
     chains with different ``t1`` share the noise of their common suffix of
     steps.  Returns the restored batch and the snapshots: one
-    ``(original timestep, batch)`` pair after the first reverse step, every
+    ``(training timestep, batch)`` pair after the first reverse step, every
     ``snapshot_every``-th step after it and the final step, or none when
     ``snapshot_every`` is 0.
     """
     x = np.asarray(x)
     if x.ndim != 4:
         raise ValueError(f"restore: x must be (B, C, H, W), got {x.shape}")
-    if not (1 <= t1 <= s.K):
-        raise ValueError(f"restore: t1 must be in [1, {s.K}], got {t1}")
-    if noise_start and t1 != s.K:
-        raise ValueError(f"restore: noise_start requires t1 == K == {s.K}")
+    if not (1 <= t1 <= s.T):
+        raise ValueError(f"restore: t1 must be in [1, {s.T}], got {t1}")
+    if noise_start and t1 != s.T:
+        raise ValueError(f"restore: noise_start requires t1 == T == {s.T}")
     if snapshot_every < 0:
         raise ValueError(f"restore: snapshot_every must be >= 0, "
                          f"got {snapshot_every}")
@@ -139,13 +140,13 @@ def restore(x: np.ndarray, denoise_fn, s: RespacedSchedule, t1: int,
         eps = denoise_fn(y, x, int(s.steps[k - 1]))
         y = posterior_mean(y, eps, k, s)
         if k > 1:
-            y = y + np.sqrt(s.beta_prime[k - 1]) * draw(k)
+            y = y + np.sqrt(s.beta[k - 1]) * draw(k)
         if snapshot_every and (k == 1 or (t1 - k) % snapshot_every == 0):
             snapshots.append((int(s.steps[k - 1]), y.copy()))
     return y, snapshots
 
 
-def restore_batched(x: np.ndarray, denoise_fn, s: RespacedSchedule, t1: int,
+def restore_batched(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
                     rng: Rng, noise_start: bool = False,
                     batch_size: int = 64) -> tuple[np.ndarray, list]:
     """Run :func:`restore` over a large item set in memory-bounded chunks.

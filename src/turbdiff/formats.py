@@ -246,6 +246,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise DataError(
                     f"checkpoint: tensor {got_name} has shape {arr.shape}, "
                     f"descriptor implies {shape}")
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: tensor {got_name} holds non-finite "
+                                f"values")
             out[name] = arr
         return out
 
@@ -298,15 +301,14 @@ def load_dataset_dir(dirpath):
     if not os.path.exists(manifest):
         raise DataError(f"no manifest.txt in {dirpath}")
     rows = read_manifest(manifest)
+    if not rows:
+        raise DataError(f"no items in {manifest}")
     ids, clean, weak, strong = [], [], [], []
     for item_id, c, w, s, _seed in rows:
         ids.append(item_id)
         clean.append(read_pgm(os.path.join(dirpath, c)))
         weak.append(read_pgm(os.path.join(dirpath, w)))
         strong.append(read_pgm(os.path.join(dirpath, s)))
-    if not ids:
-        empty = np.empty((0, 1, 0, 0))
-        return [], empty, empty.copy(), empty.copy()
     stack = [np.stack(a)[:, None] for a in (clean, weak, strong)]
     return ids, stack[0], stack[1], stack[2]
 

@@ -102,10 +102,6 @@ class MetricReport:
     def ssim_mean(self) -> float:
         return float(np.mean(self.ssim_values)) if self.ssim_values else float("nan")
 
-    @property
-    def ssim_median(self) -> float:
-        return float(np.median(self.ssim_values)) if self.ssim_values else float("nan")
-
     def csv_rows(self) -> list[str]:
         rows = ["item_id,psnr,ssim"]
         rows += [f"{i},{p:.6f},{s:.6f}"

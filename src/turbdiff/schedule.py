@@ -1,14 +1,15 @@
-"""Variance schedules for the noising chain and their respaced sub-schedules.
+"""Variance schedules for the noising chain.
 
-A full schedule holds the per-step variances beta_1..beta_T and the running
-product alpha_bar_t of alpha_t = 1 - beta_t.  A respaced schedule evaluates
-a T-step-trained model on K <= T steps by picking an evenly spaced
-subsequence of the original timesteps and recomputing effective betas from
-alpha_bar ratios, so the marginal at the final step is preserved exactly
-(telescoping product).
+A schedule holds its timesteps, the per-step variances beta_1..beta_T and
+the running product alpha_bar_t of alpha_t = 1 - beta_t.  A respaced
+schedule is the same type: it evaluates a T-step-trained model on K <= T
+steps by picking an evenly spaced subsequence of the original timesteps and
+recomputing effective betas from alpha_bar ratios, so the marginal at the
+final step is preserved exactly (telescoping product).
 
 Indexing is 1-based to match the usual chain notation: ``beta[t - 1]`` is
-the variance of step t.
+the variance of step t, and ``steps[t - 1]`` is the timestep of the
+training schedule that step t stands for.
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ import numpy as np
 class NoiseSchedule:
     """Forward-process variances and derived signal-retention products."""
 
-    T: int
+    steps: np.ndarray       # (T,) strictly increasing training timesteps
     beta: np.ndarray        # (T,), beta[t-1] in (0, 1)
     alpha_bar: np.ndarray   # cumulative product of 1 - beta, strictly decreasing
+
+    @property
+    def T(self) -> int:
+        return len(self.steps)
 
     def alpha_bar_at(self, t) -> np.ndarray:
         """alpha_bar_t for 1-based step t (int or int array)."""
@@ -32,26 +37,6 @@ class NoiseSchedule:
         if np.any(t < 1) or np.any(t > self.T):
             raise ValueError(f"step {t} outside [1, {self.T}]")
         return self.alpha_bar[t - 1]
-
-
-@dataclass(frozen=True)
-class RespacedSchedule:
-    """K-step inference sub-schedule of a T-step training schedule."""
-
-    steps: np.ndarray            # (K,) strictly increasing ints in [1, T], ends at T
-    beta_prime: np.ndarray       # (K,), 1 - abar[t_k]/abar[t_{k-1}]
-    alpha_bar_prime: np.ndarray  # (K,), abar[t_k]
-
-    @property
-    def K(self) -> int:
-        return len(self.steps)
-
-    def alpha_bar_at(self, k) -> np.ndarray:
-        """alpha_bar'_k for 1-based respaced step k."""
-        k = np.asarray(k)
-        if np.any(k < 1) or np.any(k > self.K):
-            raise ValueError(f"respaced step {k} outside [1, {self.K}]")
-        return self.alpha_bar_prime[k - 1]
 
 
 def linear_schedule(T: int, beta_start: float = 1e-4,
@@ -68,20 +53,20 @@ def linear_schedule(T: int, beta_start: float = 1e-4,
             f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
     beta = np.linspace(beta_start, beta_end, T)
     alpha_bar = np.cumprod(1.0 - beta)
-    return NoiseSchedule(T=T, beta=beta, alpha_bar=alpha_bar)
+    return NoiseSchedule(steps=np.arange(1, T + 1, dtype=np.int64), beta=beta,
+                         alpha_bar=alpha_bar)
 
 
-def respace(s: NoiseSchedule, K: int) -> RespacedSchedule:
-    """Pick K evenly spaced steps of ``s`` (always including T) and fold the
-    skipped variances into effective betas via alpha_bar ratios."""
+def respace(s: NoiseSchedule, K: int) -> NoiseSchedule:
+    """Pick K evenly spaced steps of ``s`` (always including its last) and
+    fold the skipped variances into effective betas via alpha_bar ratios."""
     if not (1 <= K <= s.T):
         raise ValueError(f"K must be in [1, {s.T}], got {K}")
     if K == 1:
-        steps = np.array([s.T], dtype=np.int64)
+        idx = np.array([s.T], dtype=np.int64)
     else:
-        steps = np.round(np.linspace(1, s.T, K)).astype(np.int64)
-    abar = s.alpha_bar[steps - 1]
+        idx = np.round(np.linspace(1, s.T, K)).astype(np.int64)
+    abar = s.alpha_bar[idx - 1]
     prev = np.concatenate([[1.0], abar[:-1]])
-    beta_prime = 1.0 - abar / prev
-    return RespacedSchedule(steps=steps, beta_prime=beta_prime,
-                            alpha_bar_prime=abar)
+    return NoiseSchedule(steps=s.steps[idx - 1], beta=1.0 - abar / prev,
+                         alpha_bar=abar)

@@ -66,14 +66,6 @@ class DegradationConfig:
                              f"got {self.blur_sigma_range}")
 
 
-@dataclass
-class DisplacementField:
-    """Per-pixel displacements in pixels; same spatial shape as the image."""
-
-    dx: np.ndarray
-    dy: np.ndarray
-
-
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian truncated at 3 sigma; identity for sigma=0."""
     if sigma <= 0:
@@ -135,30 +127,34 @@ def _smooth(a: np.ndarray, sigma: float,
 
 
 def make_field(shape: tuple[int, int], config: DegradationConfig,
-               rng: Rng) -> DisplacementField:
-    """Smoothed uniform noise field, amplitude-bounded by ``elastic_alpha``.
+               rng: Rng) -> np.ndarray:
+    """Smoothed uniform noise field, amplitude-bounded by ``elastic_alpha``:
+    the (2, H, W) array of per-pixel displacements (dx, dy) in pixels.
 
     Raw displacements are i.i.d. U(-1, 1); smoothing with a sum-1 kernel
     keeps them in [-1, 1], so the scaled field never exceeds the amplitude.
     Consumes the stream in the order dx, dy (one draw of both).
     """
-    dx, dy = config.elastic_alpha * _smooth(
+    return config.elastic_alpha * _smooth(
         2.0 * rng.uniform((2, *shape)) - 1.0, config.elastic_sigma,
         _cached_smoothing_matrix)
-    return DisplacementField(dx=dx, dy=dy)
 
 
-def warp(img: np.ndarray, field: DisplacementField) -> np.ndarray:
-    """Bilinear resampling at (x + dx, y + dy) with edge-clamped coordinates."""
+def warp(img: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Bilinear resampling at (x + dx, y + dy) with edge-clamped
+    coordinates, for the (2, H, W) displacements ``field = (dx, dy)`` of
+    :func:`make_field`."""
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
-    if field.dx.shape != img.shape or field.dy.shape != img.shape:
+    if np.shape(field) != (2, h, w):
         raise ValueError(
-            f"warp: field shape {field.dx.shape} != image shape {img.shape}")
+            f"warp: field shape {np.shape(field)} != (2, *image shape "
+            f"{img.shape})")
+    dx, dy = field
     ys = np.arange(h, dtype=np.float64)[:, None]
     xs = np.arange(w, dtype=np.float64)[None, :]
-    xq = np.clip(xs + field.dx, 0.0, w - 1.0)
-    yq = np.clip(ys + field.dy, 0.0, h - 1.0)
+    xq = np.clip(xs + dx, 0.0, w - 1.0)
+    yq = np.clip(ys + dy, 0.0, h - 1.0)
     x0 = np.floor(xq).astype(np.int64)
     y0 = np.floor(yq).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)

@@ -431,6 +431,38 @@ def test_ablate_pt_rejects_stage_steps_before_training(corpus, tmp_path,
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def empty_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "empty"
+    assert main(["gen-data", "--out", str(out), "--count", "0"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["train", "ablate-sampling",
+                                     "ablate-pt"])
+def test_empty_dataset_exits_2_naming_it(corpus, weak_ckpt, empty_corpus,
+                                         tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--stage", "weak", "--data", str(empty_corpus),
+                  "--steps", "1"],
+        "ablate-sampling": ["ablate", "--which", "sampling",
+                            "--ckpt", str(weak_ckpt),
+                            "--eval-data", str(empty_corpus), "--steps", "2",
+                            "--t1-list", "1"],
+        "ablate-pt": ["ablate", "--which", "pt", "--train-data",
+                      str(empty_corpus), "--eval-data", str(corpus),
+                      "--steps-weak", "1", "--steps-strong", "1",
+                      "--batch-size", "2", "--steps", "2", "--t1", "1"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: no items in {empty_corpus / 'manifest.txt'}\n"
+    assert "weak stage" not in captured.out
+    assert not out.exists()
+
+
 def _restore_tiny(tmp_path, *flags) -> tuple[int, object]:
     """``restore`` of one 4x4 image on a fresh 4x4 checkpoint, and --out."""
     spec = NetSpec(image_size=4, widths=(2, 2, 2, 2), emb_dim=2, groups=1)
@@ -519,6 +551,23 @@ def test_restore_snapshots_and_chunks_keep_item_streams(corpus, weak_ckpt,
     for n in range(3):
         assert np.array_equal(plain[n], snap[n])
         assert np.max(np.abs(plain[n] - alone[n])) <= 1.0 / 65535
+
+
+def test_restore_rejects_inputs_sharing_a_name(corpus, weak_ckpt, tmp_path,
+                                               capsys):
+    # a/00000.pgm and b/00000.pgm would both be written as out/00000.pgm
+    other = tmp_path / "other"
+    other.mkdir()
+    twin = other / "00000.pgm"
+    twin.write_bytes((corpus / "clean" / "00000.pgm").read_bytes())
+    first = corpus / "strong" / "00000.pgm"
+    out = tmp_path / "restored"
+    assert main(["restore", "--ckpt", str(weak_ckpt), "--out", str(out),
+                 "--in", str(first), str(corpus / "strong" / "00001.pgm"),
+                 str(twin), "--steps", "3", "--t1", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{first} and {twin}" in err
+    assert not out.exists()
 
 
 def test_restore_then_eval(corpus, weak_ckpt, tmp_path, capsys):

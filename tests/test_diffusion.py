@@ -80,7 +80,7 @@ def test_posterior_mean_zero_eps():
     r = respace(linear_schedule(100), 10)
     y = Rng(9).gauss((2, 2))
     out = posterior_mean(y, np.zeros_like(y), 5, r)
-    assert np.allclose(out, y / np.sqrt(1.0 - r.beta_prime[4]), atol=1e-15)
+    assert np.allclose(out, y / np.sqrt(1.0 - r.beta[4]), atol=1e-15)
 
 
 def test_posterior_mean_small_beta_identity():
@@ -99,8 +99,8 @@ def test_posterior_mean_scalar_oracle():
     eps = np.array([[1.0, -0.5], [0.25, 2.0]])
     y_t = q_sample(y0, k, eps, r)
     out = posterior_mean(y_t, eps, k, r)
-    bk = float(r.beta_prime[k - 1])
-    ab = float(r.alpha_bar_prime[k - 1])
+    bk = float(r.beta[k - 1])
+    ab = float(r.alpha_bar[k - 1])
     for i in range(2):
         for j in range(2):
             yt_ij = (ab ** 0.5) * y0[i, j] + ((1 - ab) ** 0.5) * eps[i, j]
@@ -133,8 +133,24 @@ def test_restore_final_step_is_posterior_mean(K):
     assert snapshots == []
 
 
+@pytest.mark.parametrize("denoise", [_zero_denoiser,
+                                     lambda y, x, t: 0.3 * y - 0.1 * x],
+                         ids=["zero", "linear"])
+def test_restore_runs_on_a_full_schedule(denoise):
+    # the training schedule and its K = T respacing hold the same steps,
+    # and betas that differ only by the rounding of 1 - abar_t / abar_{t-1}
+    s = linear_schedule(100)
+    r = respace(s, 100)
+    assert np.array_equal(r.steps, s.steps)
+    assert np.max(np.abs(r.beta - s.beta)) <= 1.7e-16
+    x = Rng(21).gauss((2, 1, 4, 4))
+    a, _ = restore(x, denoise, s, t1=100, rng=Rng(22))
+    b, _ = restore(x, denoise, r, t1=100, rng=Rng(22))
+    assert np.max(np.abs(a - b)) < 1e-12
+
+
 def test_reverse_step_noise_contract():
-    # a reverse step k > 1 adds sqrt(beta'_k) times the keyed draw k of the
+    # a reverse step k > 1 adds sqrt(beta_k) times the keyed draw k of the
     # item's stream; the same seed repeats the chain, another seed does not
     r = respace(linear_schedule(100), 8)
     x = Rng(13).gauss((2, 1, 4, 4))
@@ -150,7 +166,7 @@ def test_reverse_step_noise_contract():
 
     zero = np.zeros_like(x)
     y = q_sample(x, 2, draw(0), r)
-    y = posterior_mean(y, zero, 2, r) + np.sqrt(r.beta_prime[1]) * draw(2)
+    y = posterior_mean(y, zero, 2, r) + np.sqrt(r.beta[1]) * draw(2)
     assert np.array_equal(a, posterior_mean(y, zero, 1, r))
 
 

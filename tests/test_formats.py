@@ -179,6 +179,21 @@ def test_checkpoint_rejects_non_finite(tmp_path):
     student.tensors["stem.w"].data.flat[0] = np.inf
     with pytest.raises(DataError, match="non-finite"):
         save_checkpoint(tmp_path / "x.ckpt", student)
+    # a NaN written into a saved file is refused on load, naming the file
+    # and the tensor
+    path = tmp_path / "ok.ckpt"
+    save_checkpoint(path, init_params(tiny_spec(1), Rng(5)))
+    raw = bytearray(path.read_bytes())
+    name = b"student/head.b"
+    at = raw.index(name) + len(name)
+    (rank,) = struct.unpack_from("<Q", raw, at)
+    struct.pack_into("<d", raw, at + 8 + 8 * rank, np.nan)
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(DataError,
+                       match=r"nan\.ckpt: tensor student/head\.b holds "
+                             r"non-finite"):
+        load_checkpoint(bad)
 
 
 # ---------------------------------------------------------------------------

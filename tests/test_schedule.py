@@ -38,24 +38,24 @@ def test_respace_identity_when_full():
     s = linear_schedule(128)
     r = respace(s, 128)
     assert np.array_equal(r.steps, np.arange(1, 129))
-    assert np.max(np.abs(r.beta_prime - s.beta)) < 1e-12
+    assert np.max(np.abs(r.beta - s.beta)) < 1e-12
 
 
 def test_respace_single_step_telescopes():
     s = linear_schedule(50)
     r = respace(s, 1)
     assert list(r.steps) == [50]
-    assert abs(r.beta_prime[0] - (1.0 - s.alpha_bar[-1])) < 1e-15
+    assert abs(r.beta[0] - (1.0 - s.alpha_bar[-1])) < 1e-15
 
 
 def test_respace_60_of_1000():
     s = linear_schedule(1000)
     r = respace(s, 60)
-    assert r.K == 60
+    assert r.T == 60
     assert r.steps[-1] == 1000
     assert np.all(np.diff(r.steps) > 0)
-    assert abs(r.alpha_bar_prime[-1] - s.alpha_bar[-1]) < 1e-12
-    assert np.all((r.beta_prime > 0) & (r.beta_prime < 1))
+    assert abs(r.alpha_bar[-1] - s.alpha_bar[-1]) < 1e-12
+    assert np.all((r.beta > 0) & (r.beta < 1))
 
 
 @pytest.mark.parametrize("T,K", [(1000, 60), (1000, 7), (313, 40), (64, 64),
@@ -65,10 +65,10 @@ def test_telescoping_product_property(T, K):
     r = respace(s, K)
     # telescoping oracle: product of kept step retentions equals abar at t_K
     prod = 1.0
-    for b in r.beta_prime:
+    for b in r.beta:
         prod *= 1.0 - b
     assert abs(prod - s.alpha_bar[r.steps[-1] - 1]) < 1e-12
-    assert np.all(np.diff(r.alpha_bar_prime) < 0)
+    assert np.all(np.diff(r.alpha_bar) < 0)
 
 
 def test_alpha_bar_at_bounds():

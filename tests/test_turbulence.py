@@ -12,7 +12,7 @@ from scipy import ndimage
 import turbdiff
 from turbdiff.rng import Rng
 from turbdiff.toyfaces import make_corpus
-from turbdiff.turbulence import (DegradationConfig, DisplacementField,
+from turbdiff.turbulence import (DegradationConfig,
                                  _cached_smoothing_matrix, _smooth,
                                  _zoom_operator, blur, degrade_item,
                                  degrade_strong, degrade_weak,
@@ -83,7 +83,7 @@ def test_blur_sigmas_grow_no_cache():
 def test_zero_amplitude_gives_zero_field():
     cfg = DegradationConfig(elastic_alpha=0.0)
     f = make_field((16, 16), cfg, Rng(0))
-    assert np.all(f.dx == 0.0) and np.all(f.dy == 0.0)
+    assert np.all(f[0] == 0.0) and np.all(f[1] == 0.0)
 
 
 def test_field_equals_dx_then_dy_draws():
@@ -93,7 +93,7 @@ def test_field_equals_dx_then_dy_draws():
         for seed, shape in ((0, (32, 32)), (1, (16, 24))):
             f = make_field(shape, cfg, Rng(seed))
             r = Rng(seed)
-            for got in (f.dx, f.dy):
+            for got in (f[0], f[1]):
                 want = 1.7 * _smooth(2.0 * r.uniform(shape) - 1.0, sigma)
                 assert np.array_equal(got, want)
 
@@ -102,8 +102,8 @@ def test_field_amplitude_bound():
     cfg = DegradationConfig(elastic_sigma=3.0, elastic_alpha=2.5)
     for seed in range(5):
         f = make_field((24, 24), cfg, Rng(seed))
-        assert np.abs(f.dx).max() <= 2.5 + 1e-12
-        assert np.abs(f.dy).max() <= 2.5 + 1e-12
+        assert np.abs(f[0]).max() <= 2.5 + 1e-12
+        assert np.abs(f[1]).max() <= 2.5 + 1e-12
 
 
 def test_field_std_matches_analytic_oracle():
@@ -118,7 +118,7 @@ def test_field_std_matches_analytic_oracle():
     r = max(1, int(math.ceil(3 * sigma)))
     for seed in range(300):
         f = make_field((64, 64), cfg, Rng(seed))
-        vals.append(f.dx[r:-r, r:-r].ravel())
+        vals.append(f[0][r:-r, r:-r].ravel())
     got = np.std(np.concatenate(vals))
     assert abs(got - want) / want < 0.10
 
@@ -129,13 +129,13 @@ def test_field_std_matches_analytic_oracle():
 
 def test_warp_zero_field_is_bitwise_identity():
     img = Rng(1).uniform((12, 12))
-    f = DisplacementField(dx=np.zeros((12, 12)), dy=np.zeros((12, 12)))
+    f = np.stack([np.zeros((12, 12)), np.zeros((12, 12))])
     assert np.array_equal(warp(img, f), img)
 
 
 def test_warp_integer_shift_with_clamped_edge():
     img = Rng(2).uniform((8, 8))
-    f = DisplacementField(dx=np.ones((8, 8)), dy=np.zeros((8, 8)))
+    f = np.stack([np.ones((8, 8)), np.zeros((8, 8))])
     out = warp(img, f)
     assert np.allclose(out[:, :-1], img[:, 1:], atol=1e-15)
     assert np.allclose(out[:, -1], img[:, -1], atol=1e-15)  # clamped edge
@@ -150,8 +150,8 @@ def test_warp_moves_nonconstant_images():
 
 def test_warp_shape_mismatch():
     with pytest.raises(ValueError, match="field"):
-        warp(np.zeros((4, 4)), DisplacementField(np.zeros((3, 3)),
-                                                 np.zeros((3, 3))))
+        warp(np.zeros((4, 4)), np.stack([np.zeros((3, 3)),
+                                         np.zeros((3, 3))]))
 
 
 # ---------------------------------------------------------------------------
