@@ -5,12 +5,13 @@ Every command is deterministic given its seed, flags, and inputs.  Options
 may also come from a ``key=value`` config file (``--config``); explicit
 flags override file values, and unknown file keys are hard errors.
 
-Defaults have one source each.  The training flags and config keys of
-``train`` and ``ablate`` are the fields of :class:`TrainConfig` with their
-types and defaults (``learning_rate`` is spelled ``lr``), and a checkpoint
-header is a TrainConfig too.  ``gen-data``'s degradation defaults are those
-of :class:`DegradationConfig`, and the sampler defaults of ``restore`` and
-``ablate`` are the constants below.
+Defaults and domains (valid values) have one source each.  The training
+flags and config keys of ``train`` and ``ablate`` are the fields of
+:class:`TrainConfig` with their types, defaults and domains (``learning_rate``
+is spelled ``lr``), and a checkpoint header is a TrainConfig too.
+``gen-data``'s degradation settings are those of :class:`DegradationConfig`,
+and the rest are in the tables below.  A command checks every setting before
+it reads data, naming it by flag (and config key).
 
 Exit codes: 0 success, 1 usage error, 2 data/contract error, 3 numeric
 failure (NaN abort).
@@ -20,16 +21,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 import time
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
-from .denoiser import DenoiserParams, make_denoise_fn
+from .denoiser import DenoiserParams, NetSpec, make_denoise_fn
 from .diffusion import restore, restore_batched, to_signed, to_unit
+from .domain import SettingError, check
 from .formats import (DataError, load_checkpoint, load_dataset_dir,
                       read_config_file, read_pgm, save_checkpoint,
                       write_manifest, write_pgm)
@@ -46,11 +47,18 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# sampler defaults of restore and ablate: respaced steps K, truncated start
-# step t1, and images per restore_batched chunk
-SAMPLER_STEPS = 60
-SAMPLER_T1 = 30
-SAMPLER_CHUNK = 64
+# key -> (type, default, domain) of restore's settings; ablate's sampler
+# has the same steps K and truncated start t1, and chunk size ``batch``
+_RESTORE_KEYS = {
+    "t1": (int, 30, "[1, inf)"),
+    "steps": (int, 60, "[1, inf)"),
+    "snapshots": (int, 0, "[0, inf)"),
+    "seed": (int, 0, "(-inf, inf)"),
+    "batch": (int, 64, "[1, inf)"),
+}
+# field -> flag and config key, where they differ
+_KEY = {"learning_rate": "lr", "blur_sigma_range[0]": "blur_sigma_min",
+        "blur_sigma_range[1]": "blur_sigma_max"}
 
 
 class UsageError(Exception):
@@ -65,24 +73,55 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve(args, spec: dict[str, tuple], config_path) -> dict:
-    """Merge defaults < config file < explicit flags for the keys in
-    ``spec`` (name -> (type, default))."""
-    file_kv = read_config_file(config_path, spec.keys()) if config_path else {}
+def _resolve(args) -> dict:
+    """Merge defaults < config file < explicit flags for the settings of
+    ``args``' command, and check each value against its domain."""
+    config = getattr(args, "config", None)
+    file_kv = read_config_file(config, args.settings) if config else {}
     out = {}
-    for key, (typ, default) in spec.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in file_kv:
+    for key, (typ, default, domain) in args.settings.items():
+        v = getattr(args, key)
+        if v is None and key in file_kv:
             try:
-                out[key] = typ(file_kv[key])
+                v = typ(file_kv[key])
             except ValueError:
                 raise DataError(f"config key {key}: cannot parse "
                                 f"{file_kv[key]!r} as {typ.__name__}")
-        else:
-            out[key] = default
+        v = default if v is None else v
+        if key == "t1_list":  # comma-separated integers, each in the domain
+            try:
+                v = [int(s) for s in v.split(",") if s]
+            except ValueError:
+                raise SettingError(lambda n: f"{n}: cannot parse {v!r} as "
+                                   f"comma-separated integers", key)
+        for x in v if isinstance(v, list) else [v]:
+            check(key, x, domain)
+        out[key] = v
     return out
+
+
+def _label(args, name: str) -> str:
+    """How ``args``' command names setting ``name``, a key or a config
+    field: by flag, and by key too where a config file may set it."""
+    key = _KEY.get(name, name)
+    flag = "--" + key.replace("_", "-")
+    return f"{flag}/{key}" if "config" in args else flag
+
+
+def _field_settings(cls) -> dict[str, tuple]:
+    """Field -> (type, default, domain) of the fields of ``cls`` that have
+    a domain."""
+    return {f.name: (type(f.default), f.default, f.metadata["domain"])
+            for f in fields(cls) if "domain" in f.metadata}
+
+
+def _check_sampler(key: str, t1s: list[int], K: int, T: int) -> None:
+    """The rules 1 <= K <= T, the length of the schedule that the sampler
+    respaces, and 1 <= t1 <= K for each start in ``t1s``, the value of
+    setting ``key``."""
+    check("steps", K, f"[1, {T}]")
+    for t1 in t1s:
+        check(key, t1, f"[1, {K}]")
 
 
 def _write_csv(path, rows: list[str]) -> None:
@@ -94,36 +133,28 @@ def _write_csv(path, rows: list[str]) -> None:
 # gen-data
 # ---------------------------------------------------------------------------
 
-_DEGRADATION = DegradationConfig()
+_DEGRADATION = _field_settings(DegradationConfig)
+_BLUR = _DEGRADATION["blur_sigma_range"]
 _GEN_KEYS = {
-    "count": (int, 4096),
-    "seed": (int, 0),
-    "elastic_sigma": (float, _DEGRADATION.elastic_sigma),
-    "elastic_alpha": (float, _DEGRADATION.elastic_alpha),
-    "blur_sigma_min": (float, _DEGRADATION.blur_sigma_range[0]),
-    "blur_sigma_max": (float, _DEGRADATION.blur_sigma_range[1]),
-    "noise_std": (float, _DEGRADATION.noise_std),
-    "weak_factor": (int, 4),
+    "count": (int, 4096, "[0, inf)"),
+    "seed": _DEGRADATION["seed"],
+    "elastic_sigma": _DEGRADATION["elastic_sigma"],
+    "elastic_alpha": _DEGRADATION["elastic_alpha"],
+    "blur_sigma_min": (float, _BLUR[1][0], _BLUR[2]),
+    "blur_sigma_max": (float, _BLUR[1][1], _BLUR[2]),
+    "noise_std": _DEGRADATION["noise_std"],
+    "weak_factor": (int, 4, "[1, inf)"),
 }
 
 
 def cmd_gen_data(args) -> int:
-    v = _resolve(args, _GEN_KEYS, args.config)
-    if v["count"] < 0:
-        raise DataError(f"count must be >= 0, got {v['count']}")
-    if v["weak_factor"] < 1 or SIZE % v["weak_factor"]:
-        raise DataError(f"--weak-factor/weak_factor must be >= 1 and divide "
-                        f"the image size {SIZE}, got {v['weak_factor']}")
-    lo, hi = v["blur_sigma_min"], v["blur_sigma_max"]
-    if not 0 <= lo <= hi:
-        raise DataError(f"--blur-sigma-min/--blur-sigma-max must satisfy "
-                        f"0 <= min <= max, got min {lo}, max {hi}")
-    if hi == math.inf:
-        raise DataError(f"--blur-sigma-max/blur_sigma_max must be finite, "
-                        f"got {hi}")
+    v = _resolve(args)
+    if SIZE % v["weak_factor"]:
+        raise SettingError(lambda n: f"{n} must divide the image size {SIZE}, "
+                           f"got {v['weak_factor']}", "weak_factor")
     cfg = DegradationConfig(
         elastic_sigma=v["elastic_sigma"], elastic_alpha=v["elastic_alpha"],
-        blur_sigma_range=(lo, hi),
+        blur_sigma_range=(v["blur_sigma_min"], v["blur_sigma_max"]),
         noise_std=v["noise_std"], seed=v["seed"])
     out = args.out
     for sub in ("clean", "weak", "strong"):
@@ -150,44 +181,44 @@ def cmd_gen_data(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = [f for f in fields(TrainConfig) if f.default is not MISSING]
-_KEY = {"learning_rate": "lr"}  # field -> flag and config key, if renamed
+_TRAIN_FIELDS = _field_settings(TrainConfig)
 
 
 def _config_keys(*skip: str) -> dict[str, tuple]:
-    """Flag/config key -> (type, default) of the TrainConfig fields that
-    have a default, less the fields in ``skip``."""
-    return {_KEY.get(f.name, f.name): (type(f.default), f.default)
-            for f in _CONFIG_FIELDS if f.name not in skip}
+    """Flag/config key -> (type, default, domain) of the TrainConfig fields
+    that have a domain, less the fields in ``skip``."""
+    return {_KEY.get(name, name): entry
+            for name, entry in _TRAIN_FIELDS.items() if name not in skip}
 
 
 def _train_config(v: dict, **fixed) -> TrainConfig:
     """TrainConfig of the resolved values ``v``; ``fixed`` sets fields
     directly and leaves their keys in ``v`` unread."""
-    return TrainConfig(**fixed, **{f.name: v[_KEY.get(f.name, f.name)]
-                                   for f in _CONFIG_FIELDS
-                                   if f.name not in fixed})
+    return TrainConfig(**fixed, **{name: v[_KEY.get(name, name)]
+                                   for name in _TRAIN_FIELDS
+                                   if name not in fixed})
 
 
-_TRAIN_KEYS = {**_config_keys(), "checkpoint_every": (int, 0)}
+_TRAIN_KEYS = {**_config_keys(), "checkpoint_every": (int, 0, "[0, inf)")}
 
 
-def _load_dataset(path) -> PairedDataset:
+def _load_dataset(flag: str, path, size: int) -> PairedDataset:
+    """The dataset in directory ``path``, given by ``flag``, whose images
+    must be ``size`` x ``size``: the network's input."""
     ids, clean, weak, strong = load_dataset_dir(path)
+    if clean.shape[-2:] != (size, size):
+        raise DataError(f"{flag} {path}: images are {clean.shape[-2]}x"
+                        f"{clean.shape[-1]}, the network takes {size}x{size}")
     return PairedDataset(clean=clean, weak=weak, strong=strong, ids=ids)
 
 
 def cmd_train(args) -> int:
-    v = _resolve(args, _TRAIN_KEYS, args.config)
-    if v["checkpoint_every"] < 0:
-        raise DataError(f"--checkpoint-every/checkpoint_every must be >= 0, "
-                        f"got {v['checkpoint_every']}")
+    v = _resolve(args)
     stage = Stage(args.stage)
     if stage is Stage.STRONG_DISTILL and not args.teacher:
         raise UsageError("--stage strong requires --teacher "
                          "(checkpoint of the weak-degradation model)")
     config = _train_config(v, stage=stage)
-    dataset = _load_dataset(args.data)
 
     init = teacher = None
     if args.init:
@@ -201,6 +232,8 @@ def cmd_train(args) -> int:
     if init is not None and teacher is not None and init.spec != teacher.spec:
         raise DataError(f"--init descriptor {init.spec} does not match "
                         f"--teacher descriptor {teacher.spec}")
+    dataset = _load_dataset("--data", args.data,
+                            (init.spec if init else NetSpec()).image_size)
 
     def save(state, path=args.out):
         save_checkpoint(path, state.student, teacher=state.teacher,
@@ -238,21 +271,17 @@ def _checkpoint_sampler(student: DenoiserParams, meta: TrainConfig,
 
 
 def cmd_restore(args) -> int:
-    if args.t1 is None:
-        args.t1 = args.steps if args.noise_start else SAMPLER_T1
-    if not 1 <= args.t1 <= args.steps:
-        raise DataError(f"--t1 must be in [1, --steps {args.steps}], "
-                        f"got {args.t1}")
-    if args.noise_start and args.t1 != args.steps:
-        raise DataError(f"--noise-start requires --t1 == --steps "
-                        f"{args.steps}, got {args.t1}")
-    if args.snapshots < 0:
-        raise DataError(f"--snapshots must be >= 0, got {args.snapshots}")
-    if args.batch < 1:
-        raise DataError(f"--batch must be >= 1, got {args.batch}")
+    v = _resolve(args)
+    K = v["steps"]
+    # --noise-start moves --t1's default to --steps
+    t1 = K if args.noise_start and args.t1 is None else v["t1"]
+    if args.noise_start and t1 != K:
+        raise SettingError(lambda t, k: f"--noise-start requires {t} == {k} "
+                           f"= {K}, got {t1}", "t1", "steps")
     ckpt = load_checkpoint(args.ckpt)
+    _check_sampler("t1", [t1], K, ckpt.meta.t_steps)
     size = ckpt.student.spec.image_size
-    fn, sched = _checkpoint_sampler(ckpt.student, ckpt.meta, args.steps)
+    fn, sched = _checkpoint_sampler(ckpt.student, ckpt.meta, K)
 
     names, imgs = [], []
     for path in args.images:
@@ -267,18 +296,18 @@ def cmd_restore(args) -> int:
         names.append(name)
         imgs.append(img)
     snap_dir = os.path.join(args.out, "snapshots")
-    os.makedirs(snap_dir if args.snapshots else args.out, exist_ok=True)
+    os.makedirs(snap_dir if v["snapshots"] else args.out, exist_ok=True)
     # one restore call per --batch chunk, timed on its own; item i draws
     # from stream i whatever the chunking
     trace_rows = ["item_id,nfe,seconds"]
     x = to_signed(np.stack(imgs)[:, None])
-    rng = Rng(args.seed)
-    for lo in range(0, len(x), args.batch):
-        hi = min(lo + args.batch, len(x))
+    rng = Rng(v["seed"])
+    for lo in range(0, len(x), v["batch"]):
+        hi = min(lo + v["batch"], len(x))
         t0 = time.perf_counter()
-        out, snapshots = restore(x[lo:hi], fn, sched, args.t1, rng,
+        out, snapshots = restore(x[lo:hi], fn, sched, t1, rng,
                                  noise_start=args.noise_start,
-                                 snapshot_every=args.snapshots,
+                                 snapshot_every=v["snapshots"],
                                  stream_offset=lo)
         per_item = (time.perf_counter() - t0) / (hi - lo)
         for t_orig, snap in snapshots:
@@ -287,10 +316,10 @@ def cmd_restore(args) -> int:
                           img)
         for name, img in zip(names[lo:hi], to_unit(out[:, 0])):
             write_pgm(os.path.join(args.out, f"{name}.pgm"), img)
-            trace_rows.append(f"{name},{args.t1},{per_item:.4f}")
+            trace_rows.append(f"{name},{t1},{per_item:.4f}")
     _write_csv(os.path.join(args.out, "trace.csv"), trace_rows)
     print(f"restored {len(names)} images to {args.out} "
-          f"(t1={args.t1}, steps={args.steps}, nfe={args.t1})")
+          f"(t1={t1}, steps={K}, nfe={t1})")
     return EXIT_OK
 
 
@@ -338,7 +367,8 @@ def _restore_eval(params: DenoiserParams, meta: TrainConfig,
     x = to_signed(eval_ds.strong)
     t0 = time.perf_counter()
     out, _ = restore_batched(x, fn, sched, t1, Rng(seed),
-                             noise_start=noise_start, batch_size=SAMPLER_CHUNK)
+                             noise_start=noise_start,
+                             batch_size=_RESTORE_KEYS["batch"][1])
     seconds = time.perf_counter() - t0
     restored = to_unit(out)
     report = evaluate_pairs(
@@ -349,13 +379,6 @@ def _restore_eval(params: DenoiserParams, meta: TrainConfig,
 
 
 def cmd_ablate_pt(args, v) -> int:
-    if not 1 <= v["t1"] <= v["steps"]:
-        raise DataError(f"--t1/t1 must be in [1, --steps {v['steps']}], "
-                        f"got {v['t1']}")
-    for key in ("steps_weak", "steps_strong"):
-        if v[key] < 0:
-            raise DataError(f"--{key.replace('_', '-')}/{key} must be >= 0, "
-                            f"got {v[key]}")
     total = v["steps_weak"] + v["steps_strong"]
     # all three stage configs are built, and so checked, before any data is
     # read; checkpoint headers hold the base seed, the stage and the steps
@@ -364,8 +387,10 @@ def cmd_ablate_pt(args, v) -> int:
     distill = replace(base, stage=Stage.STRONG_DISTILL,
                       steps=v["steps_strong"], seed=base.seed + 1)
     direct = replace(base, steps=total, seed=base.seed + 2)
-    train_ds = _load_dataset(args.train_data)
-    eval_ds = _load_dataset(args.eval_data)
+    _check_sampler("t1", [v["t1"]], v["steps"], base.t_steps)
+    size = NetSpec().image_size
+    train_ds = _load_dataset("--train-data", args.train_data, size)
+    eval_ds = _load_dataset("--eval-data", args.eval_data, size)
     os.makedirs(args.out, exist_ok=True)
 
     print(f"[1/3] progressive path: weak stage, {v['steps_weak']} steps")
@@ -410,24 +435,17 @@ def cmd_ablate_pt(args, v) -> int:
 
 
 def cmd_ablate_sampling(args, v) -> int:
-    try:
-        t1_list = [int(s) for s in v["t1_list"].split(",") if s]
-    except ValueError:
-        raise DataError(f"--t1-list/t1_list: cannot parse {v['t1_list']!r} "
-                        f"as comma-separated integers")
-    bad = [t for t in t1_list if not (1 <= t <= v["steps"])]
-    if bad:
-        raise DataError(f"--t1-list/t1_list: values {bad} outside "
-                        f"[1, {v['steps']}]")
-    eval_ds = _load_dataset(args.eval_data)
     ckpt = load_checkpoint(args.ckpt)
+    _check_sampler("t1_list", v["t1_list"], v["steps"], ckpt.meta.t_steps)
+    eval_ds = _load_dataset("--eval-data", args.eval_data,
+                            ckpt.student.spec.image_size)
     os.makedirs(args.out, exist_ok=True)
 
     rows = ["variant,t1,nfe,seconds_per_item,psnr_mean,ssim_mean,dist_mean"]
     per_item: dict[str, np.ndarray] = {}
     n = len(eval_ds)
     # the truncated starts, then the full chain from pure noise
-    variants = [(f"t1={t1}", t1, False) for t1 in t1_list]
+    variants = [(f"t1={t1}", t1, False) for t1 in v["t1_list"]]
     variants.append(("noise_start", v["steps"], True))
     for label, t1, noise_start in variants:
         rep, dists, secs = _restore_eval(
@@ -452,17 +470,17 @@ def cmd_ablate_sampling(args, v) -> int:
 # ``steps`` is the sampler's K here; each training stage's steps have
 # their own keys
 _ABLATE_KEYS = {
-    "steps_weak": (int, TrainConfig.steps),
-    "steps_strong": (int, TrainConfig.steps),
+    "steps_weak": _TRAIN_FIELDS["steps"],
+    "steps_strong": _TRAIN_FIELDS["steps"],
     **_config_keys("steps"),
-    "steps": (int, SAMPLER_STEPS),
-    "t1": (int, SAMPLER_T1),
-    "t1_list": (str, "10,20,30,45,60"),
+    "steps": _RESTORE_KEYS["steps"],
+    "t1": _RESTORE_KEYS["t1"],
+    "t1_list": (str, "10,20,30,45,60", _RESTORE_KEYS["t1"][2]),
 }
 
 
 def cmd_ablate(args) -> int:
-    v = _resolve(args, _ABLATE_KEYS, args.config)
+    v = _resolve(args)
     if args.which == "pt":
         if not (args.train_data and args.eval_data):
             raise UsageError("--which pt requires --train-data and --eval-data")
@@ -476,10 +494,18 @@ def cmd_ablate(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_train_like_flags(p, keys):
-    for key in keys:
-        typ = keys[key][0]
-        p.add_argument(f"--{key.replace('_', '-')}", type=typ, default=None)
+def _add_settings(p, settings: dict, keys=None, defaults=False,
+                  **helps) -> None:
+    """A flag for each setting of ``keys`` (by default all) of the table
+    ``settings``, its help showing the default and domain.  A flag defaults
+    to None, so that a config file may set it, or with ``defaults`` to the
+    setting's default."""
+    for key in keys or settings:
+        typ, default, domain = settings[key]
+        p.add_argument(f"--{key.replace('_', '-')}", type=typ,
+                       default=default if defaults else None,
+                       help=f"{helps.get(key, '')} (default {default}, in "
+                            f"{domain})".lstrip())
 
 
 def build_parser() -> _Parser:
@@ -491,8 +517,9 @@ def build_parser() -> _Parser:
     g = sub.add_parser("gen-data", help="generate a toy dataset")
     g.add_argument("--out", required=True)
     g.add_argument("--config", default=None)
-    _add_train_like_flags(g, _GEN_KEYS)
-    g.set_defaults(fn=cmd_gen_data)
+    _add_settings(g, _GEN_KEYS,
+                  weak_factor=f"a divisor of the image size {SIZE}")
+    g.set_defaults(fn=cmd_gen_data, settings=_GEN_KEYS)
 
     t = sub.add_parser("train", help="train one stage")
     t.add_argument("--stage", required=True, choices=[s.value for s in Stage])
@@ -503,28 +530,26 @@ def build_parser() -> _Parser:
                    help="weak-stage checkpoint (required for --stage strong)")
     t.add_argument("--loss-csv", default=None)
     t.add_argument("--config", default=None)
-    _add_train_like_flags(t, _TRAIN_KEYS)
-    t.set_defaults(fn=cmd_train)
+    _add_settings(t, _TRAIN_KEYS)
+    t.set_defaults(fn=cmd_train, settings=_TRAIN_KEYS)
 
     r = sub.add_parser("restore", help="restore degraded images")
     r.add_argument("--ckpt", required=True)
     r.add_argument("--in", dest="images", nargs="+", required=True,
                    metavar="IMG")
     r.add_argument("--out", required=True)
-    r.add_argument("--t1", type=int, default=None,
-                   help=f"truncated start step (default {SAMPLER_T1})")
-    r.add_argument("--steps", type=int, default=SAMPLER_STEPS,
-                   help=f"respaced inference steps (default {SAMPLER_STEPS})")
+    helps = dict(t1="truncated start step, at most --steps",
+                 steps="respaced steps, at most the checkpoint's t_steps",
+                 snapshots="dump every SNAPSHOTS-th intermediate image",
+                 batch="images restored together; trace.csv's seconds for "
+                       "an image is its chunk's time over its size")
+    _add_settings(r, _RESTORE_KEYS, ["t1", "steps"], True, **helps)
     r.add_argument("--noise-start", action="store_true",
-                   help="start from pure noise (requires --t1 == --steps)")
-    r.add_argument("--snapshots", type=int, default=0, metavar="M",
-                   help="dump every M-th intermediate image")
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--batch", type=int, default=SAMPLER_CHUNK,
-                   help=f"images restored together (default {SAMPLER_CHUNK}); "
-                        f"trace.csv's seconds for an image is its chunk's "
-                        f"wall time divided by the chunk's size")
-    r.set_defaults(fn=cmd_restore)
+                   help="start from pure noise (--t1 = --steps)")
+    _add_settings(r, _RESTORE_KEYS, ["snapshots", "seed", "batch"], True,
+                  **helps)
+    # with --noise-start, --t1 defaults to --steps
+    r.set_defaults(fn=cmd_restore, settings=_RESTORE_KEYS, t1=None)
 
     e = sub.add_parser("eval", help="PSNR/SSIM of predictions vs references")
     e.add_argument("--pred", required=True)
@@ -539,8 +564,10 @@ def build_parser() -> _Parser:
     a.add_argument("--ckpt", default=None)
     a.add_argument("--out", required=True)
     a.add_argument("--config", default=None)
-    _add_train_like_flags(a, _ABLATE_KEYS)
-    a.set_defaults(fn=cmd_ablate)
+    _add_settings(a, _ABLATE_KEYS, steps="the sampler's respaced steps K",
+                  t1="--which pt's truncated start, at most --steps",
+                  t1_list="--which sampling's starts, each at most --steps")
+    a.set_defaults(fn=cmd_ablate, settings=_ABLATE_KEYS)
     return p
 
 
@@ -558,6 +585,11 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except SettingError as e:
+        # named by flag and key, as the command's table names them
+        print(f"error: {e.text(*(_label(args, n) for n in e.names))}",
+              file=sys.stderr)
+        return EXIT_DATA
     except (NumericError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC

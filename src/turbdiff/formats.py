@@ -231,7 +231,7 @@ def load_checkpoint(path) -> Checkpoint:
         has_teacher = bool(int(kv["has_teacher"]))
         has_opt = bool(int(kv["has_opt"]))
     except (KeyError, ValueError) as e:
-        raise DataError(f"checkpoint: bad header field: {e}") from None
+        raise DataError(f"{path}: bad header field: {e}") from None
 
     expected = param_shapes(spec)
 
@@ -303,14 +303,19 @@ def load_dataset_dir(dirpath):
     rows = read_manifest(manifest)
     if not rows:
         raise DataError(f"no items in {manifest}")
-    ids, clean, weak, strong = [], [], [], []
-    for item_id, c, w, s, _seed in rows:
+    ids, images, first = [], ([], [], []), None
+    for item_id, *paths, _seed in rows:
         ids.append(item_id)
-        clean.append(read_pgm(os.path.join(dirpath, c)))
-        weak.append(read_pgm(os.path.join(dirpath, w)))
-        strong.append(read_pgm(os.path.join(dirpath, s)))
-    stack = [np.stack(a)[:, None] for a in (clean, weak, strong)]
-    return ids, stack[0], stack[1], stack[2]
+        for stack, rel in zip(images, paths):
+            path = os.path.join(dirpath, rel)
+            img = read_pgm(path)
+            first = first or (path, img.shape)
+            if img.shape != first[1]:
+                raise DataError(f"{path}: size {img.shape} differs from "
+                                f"{first[0]}'s {first[1]}")
+            stack.append(img)
+    clean, weak, strong = (np.stack(a)[:, None] for a in images)
+    return ids, clean, weak, strong
 
 
 # ---------------------------------------------------------------------------

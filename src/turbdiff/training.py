@@ -15,7 +15,6 @@ bit-identically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,6 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .denoiser import DenoiserParams, NetSpec, eps_predict, init_params
 from .diffusion import q_sample, to_signed
+from .domain import check_fields, check_order, setting
 from .rng import Rng
 from .schedule import NoiseSchedule, linear_schedule
 
@@ -48,34 +48,26 @@ ADAM_EPS = 1e-8
 class TrainConfig:
     """Settings for one training stage, and the one table of training
     defaults: the ``train`` and ``ablate`` flags and config keys of the CLI
-    take their names, types and defaults from these fields, and a
+    take their names, types, defaults and domains from these fields, and a
     checkpoint header stores a subset of them (``formats.Checkpoint``)."""
 
     stage: Stage
-    steps: int = 2500
-    batch_size: int = 8
-    learning_rate: float = 2e-4
-    gamma: float = 0.01        # distillation weight
-    gamma1: float = 0.9909     # EMA rate
-    seed: int = 0
-    t_steps: int = 1000        # schedule length T
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    dtype: str = "float32"     # training fast path; tests pin float64 paths
+    steps: int = setting(2500, "[0, inf)")
+    batch_size: int = setting(8, "[1, inf)")
+    learning_rate: float = setting(2e-4, "(0, inf)")
+    gamma: float = setting(0.01, "[0, inf)")      # distillation weight
+    gamma1: float = setting(0.9909, "[0, 1]")     # EMA rate
+    seed: int = setting(0, "(-inf, inf)")
+    t_steps: int = setting(1000, "[1, inf)")      # schedule length T
+    beta_start: float = setting(1e-4, "(0, 1)")
+    beta_end: float = setting(0.02, "(0, 1)")
+    # training fast path; tests pin float64 paths
+    dtype: str = setting("float32", "{float32, float64}")
 
     def __post_init__(self):
         self.stage = Stage(self.stage)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, "
-                             f"got {self.learning_rate}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (0.0 <= self.gamma1 <= 1.0):
-            raise ValueError(f"gamma1 must be in [0, 1], got {self.gamma1}")
-        if self.steps < 0 or self.batch_size < 1:
-            raise ValueError("steps must be >= 0 and batch_size >= 1")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be float32 or float64, got {self.dtype}")
+        check_fields(self)
+        check_order("beta_start", "beta_end", self.beta_start, self.beta_end)
 
     def schedule(self) -> NoiseSchedule:
         return linear_schedule(self.t_steps, self.beta_start, self.beta_end)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import check_fields, check_order, setting
 from .rng import Rng
 
 
@@ -44,26 +45,16 @@ class DegradationConfig:
     additive noise in [0, 1] units.
     """
 
-    elastic_sigma: float = 4.0
-    elastic_alpha: float = 2.0
-    blur_sigma_range: tuple[float, float] = (0.5, 1.5)
-    noise_std: float = 1e-4
-    seed: int = 0
+    elastic_sigma: float = setting(4.0, "[0, inf)")
+    elastic_alpha: float = setting(2.0, "[0, inf)")
+    blur_sigma_range: tuple[float, float] = setting((0.5, 1.5), "[0, inf)")
+    noise_std: float = setting(1e-4, "[0, inf)")
+    seed: int = setting(0, "(-inf, inf)")
 
     def __post_init__(self):
-        # NaN fails every comparison, so each test is written to pass
-        # only for a valid value
-        for name in ("elastic_sigma", "elastic_alpha", "noise_std"):
-            v = getattr(self, name)
-            if not 0 <= v < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        lo, hi = self.blur_sigma_range
-        if not 0 <= lo <= hi:
-            raise ValueError(f"blur_sigma_range must satisfy 0 <= lo <= hi, "
-                             f"got {self.blur_sigma_range}")
-        if hi == math.inf:
-            raise ValueError(f"blur_sigma_range must be finite, "
-                             f"got {self.blur_sigma_range}")
+        check_fields(self)
+        check_order("blur_sigma_range[0]", "blur_sigma_range[1]",
+                    *self.blur_sigma_range)
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:

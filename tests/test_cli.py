@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import math
+import re
 import struct
 import types
 
@@ -11,6 +12,7 @@ from turbdiff import cli
 from turbdiff.cli import build_parser, main
 from turbdiff.denoiser import NetSpec, init_params
 from turbdiff.diffusion import restore
+from turbdiff.domain import check
 from turbdiff.formats import (DataError, load_checkpoint, read_pgm,
                               save_checkpoint, write_pgm)
 from turbdiff.rng import Rng
@@ -19,27 +21,30 @@ from turbdiff.rng import Rng
 def test_gen_data_rejects_negative_count(tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["gen-data", "--out", str(out), "--count", "-1"]) == 2
-    assert "count must be >= 0" in capsys.readouterr().err
+    assert "--count/count must be in [0, inf), got -1" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,named", [
+_BAD_GEN_DATA_FLAGS = [
     (("--weak-factor", "3"), "--weak-factor"),
     (("--weak-factor", "0"), "--weak-factor"),
     (("--weak-factor", "-4"), "--weak-factor"),
     (("--elastic-sigma", "-1"), "elastic_sigma"),
     (("--blur-sigma-min", "2", "--blur-sigma-max", "1"),
-     "--blur-sigma-min/--blur-sigma-max must satisfy 0 <= min <= max, "
-     "got min 2.0, max 1.0"),
+     "--blur-sigma-min/blur_sigma_min must be <= "
+     "--blur-sigma-max/blur_sigma_max, got 2.0 > 1.0"),
     (("--blur-sigma-min", "-1"),
-     "--blur-sigma-min/--blur-sigma-max must satisfy 0 <= min <= max, "
-     "got min -1.0, max 1.5"),
+     "--blur-sigma-min/blur_sigma_min must be in [0, inf), got -1.0"),
     (("--noise-std", "nan"), "noise_std"),
     (("--noise-std", "inf"), "noise_std"),
     (("--elastic-sigma", "nan"), "elastic_sigma"),
     (("--elastic-sigma", "inf"), "elastic_sigma"),
     (("--blur-sigma-max", "inf"), "--blur-sigma-max"),
-    (("--elastic-alpha", "nan"), "elastic_alpha")],
+    (("--elastic-alpha", "nan"), "elastic_alpha")]
+
+
+@pytest.mark.parametrize("flags,named", _BAD_GEN_DATA_FLAGS,
     ids=["weak-factor-3", "weak-factor-0", "weak-factor-negative",
          "elastic-sigma-negative", "blur-sigma-min-above-max",
          "blur-sigma-min-negative", "noise-std-nan", "noise-std-inf",
@@ -248,8 +253,9 @@ def test_parser_options_and_defaults_are_golden():
     tables = {"gen-data": cli._GEN_KEYS, "train": cli._TRAIN_KEYS,
               "ablate": cli._ABLATE_KEYS}
     for name, table in tables.items():
-        assert list(table.items()) == list(_KEY_DEFAULTS[name].items()), name
-        for typ, default in table.values():
+        assert [(k, entry[:2]) for k, entry in table.items()] == \
+            list(_KEY_DEFAULTS[name].items()), name
+        for typ, default, _ in table.values():
             assert type(default) is typ
 
 
@@ -320,11 +326,14 @@ def test_train_unknown_config_key_exits_2_listing_allowed(corpus, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,named", [
+_BAD_TRAIN_FLAGS = [
     (("--checkpoint-every", "-1"), "--checkpoint-every/checkpoint_every"),
-    (("--lr", "-1"), "learning_rate"), (("--lr", "0"), "learning_rate"),
-    (("--lr", "nan"), "learning_rate"), (("--gamma", "nan"), "gamma"),
-    (("--gamma", "-0.5"), "gamma")],
+    (("--lr", "-1"), "--lr/lr"), (("--lr", "0"), "--lr/lr"),
+    (("--lr", "nan"), "--lr/lr"), (("--gamma", "nan"), "gamma"),
+    (("--gamma", "-0.5"), "gamma")]
+
+
+@pytest.mark.parametrize("flags,named", _BAD_TRAIN_FLAGS,
     ids=["checkpoint-every-negative", "lr-negative", "lr-zero", "lr-nan",
          "gamma-nan", "gamma-negative"])
 def test_train_rejects_bad_flags_before_training(corpus, tmp_path, capsys,
@@ -401,7 +410,10 @@ def test_ablate_pt_checkpoint_headers(corpus, tmp_path):
         [["progressive", "3"], ["direct", "3"]]
 
 
-@pytest.mark.parametrize("t1", ["0", "6"])
+_BAD_PT_T1 = ["0", "6"]
+
+
+@pytest.mark.parametrize("t1", _BAD_PT_T1)
 def test_ablate_pt_rejects_t1_outside_steps(corpus, tmp_path, capsys, t1):
     out = tmp_path / "pt"
     assert main(["ablate", "--which", "pt", "--train-data", str(corpus),
@@ -413,10 +425,13 @@ def test_ablate_pt_rejects_t1_outside_steps(corpus, tmp_path, capsys, t1):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,named", [
+_BAD_PT_STEPS = [
     (("--steps-weak", "-1", "--steps-strong", "1"), "--steps-weak/steps_weak"),
     (("--steps-weak", "3", "--steps-strong", "-1"),
-     "--steps-strong/steps_strong")],
+     "--steps-strong/steps_strong")]
+
+
+@pytest.mark.parametrize("flags,named", _BAD_PT_STEPS,
     ids=["steps-weak-negative", "steps-strong-negative"])
 def test_ablate_pt_rejects_stage_steps_before_training(corpus, tmp_path,
                                                        capsys, flags, named):
@@ -475,7 +490,10 @@ def _restore_tiny(tmp_path, *flags) -> tuple[int, object]:
                  "--out", str(out), *flags]), out
 
 
-@pytest.mark.parametrize("batch", ["-3", "0"])
+_BAD_BATCH = ["-3", "0"]
+
+
+@pytest.mark.parametrize("batch", _BAD_BATCH)
 def test_restore_rejects_non_positive_batch(tmp_path, capsys, batch):
     code, out = _restore_tiny(tmp_path, "--batch", batch)
     assert code == 2
@@ -484,11 +502,14 @@ def test_restore_rejects_non_positive_batch(tmp_path, capsys, batch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,named", [
+_BAD_SAMPLER_FLAGS = [
     (("--t1", "0"), "--t1"), (("--t1", "-2"), "--t1"),
     (("--steps", "5", "--t1", "6"), "--t1"),
     (("--steps", "5", "--t1", "3", "--noise-start"), "--noise-start"),
-    (("--snapshots", "-1"), "--snapshots")],
+    (("--snapshots", "-1"), "--snapshots")]
+
+
+@pytest.mark.parametrize("flags,named", _BAD_SAMPLER_FLAGS,
     ids=["t1-zero", "t1-negative", "t1-over-steps", "noise-start-t1",
          "snapshots-negative"])
 def test_restore_rejects_bad_sampler_flags(tmp_path, capsys, flags, named):
@@ -596,3 +617,189 @@ def test_restore_then_eval(corpus, weak_ckpt, tmp_path, capsys):
     rows = report.read_text().splitlines()
     assert rows[0] == "item_id,psnr,ssim"
     assert [r.split(",")[0] for r in rows[1:]] == names + ["mean"]
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """A 3-item dataset of 16x16 images: too small for the 32x32 network."""
+    out = tmp_path_factory.mktemp("cli") / "small"
+    assert main(["gen-data", "--out", str(out), "--count", "3"]) == 0
+    for p in out.rglob("*.pgm"):
+        write_pgm(p, read_pgm(p)[::2, ::2])
+    return out
+
+
+@pytest.mark.parametrize("command", ["train", "ablate-sampling", "ablate-pt",
+                                     "ablate-pt-eval"])
+def test_dataset_size_must_match_the_network(corpus, weak_ckpt, small_corpus,
+                                             tmp_path, capsys, command):
+    out = tmp_path / "out"
+    flag, argv = {
+        "train": ("--data", ["train", "--stage", "weak", "--data",
+                             str(small_corpus), "--steps", "1"]),
+        "ablate-sampling": ("--eval-data", [
+            "ablate", "--which", "sampling", "--ckpt", str(weak_ckpt),
+            "--eval-data", str(small_corpus), "--steps", "2",
+            "--t1-list", "1"]),
+        "ablate-pt": ("--train-data", [
+            "ablate", "--which", "pt", "--train-data", str(small_corpus),
+            "--eval-data", str(corpus), "--steps-weak", "1",
+            "--steps-strong", "1", "--batch-size", "2", "--steps", "2",
+            "--t1", "1"]),
+        "ablate-pt-eval": ("--eval-data", [
+            "ablate", "--which", "pt", "--train-data", str(corpus),
+            "--eval-data", str(small_corpus), "--steps-weak", "1",
+            "--steps-strong", "1", "--batch-size", "2", "--steps", "2",
+            "--t1", "1"]),
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {flag} {small_corpus}: images are "
+                            f"16x16, the network takes 32x32\n")
+    assert "weak stage" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["restore", "ablate-sampling",
+                                     "ablate-pt"])
+def test_sampler_steps_at_most_the_schedule_length(corpus, weak_ckpt,
+                                                    tmp_path, capsys,
+                                                    command):
+    out = tmp_path / "out"
+    # K <= T, the checkpoint's t_steps, or the config's for ablate pt
+    argv, named = {
+        "restore": (["restore", "--ckpt", str(weak_ckpt), "--in",
+                     str(corpus / "strong" / "00000.pgm")], "--steps"),
+        "ablate-sampling": (["ablate", "--which", "sampling", "--ckpt",
+                             str(weak_ckpt), "--eval-data", str(corpus),
+                             "--t1-list", "5"], "--steps/steps"),
+        "ablate-pt": (["ablate", "--which", "pt", "--train-data", str(corpus),
+                       "--eval-data", str(corpus), "--steps-weak", "1",
+                       "--steps-strong", "1", "--batch-size", "2",
+                       "--t-steps", "500", "--t1", "5"], "--steps/steps"),
+    }[command]
+    T = 500 if command == "ablate-pt" else 1000
+    assert main([*argv, "--steps", str(T + 1), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named} must be in [1, {T}], got {T + 1}\n"
+    assert "weak stage" not in captured.out
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# domains: every setting's valid values, from the commands' tables
+# ---------------------------------------------------------------------------
+
+_TABLES = {"gen-data": cli._GEN_KEYS, "train": cli._TRAIN_KEYS,
+           "restore": cli._RESTORE_KEYS, "ablate": cli._ABLATE_KEYS}
+
+# the value-taking options that name a path or a choice: no domain
+_NO_DOMAIN = {"--out", "--data", "--ckpt", "--in", "--config", "--init",
+              "--teacher", "--loss-csv", "--train-data", "--eval-data",
+              "--pred", "--ref", "--stage", "--which"}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _outside(key: str, typ, domain) -> list[str]:
+    """Those of -1, 0, max + 1 and, for a float setting, NaN and +-inf that
+    lie outside ``domain``."""
+    values = ["-1", "0"]
+    hi = domain[1:-1].split(",")[-1]
+    if domain[0] != "{" and math.isfinite(float(hi)):
+        values.append(str(typ(hi) + 1))
+    if typ is float:
+        values += ["nan", "inf", "-inf"]
+
+    def inside(s):
+        try:
+            check(key, int(s) if key == "t1_list" else typ(s), domain)
+        except ValueError:
+            return False
+        return True
+    return [s for s in values if not inside(s)]
+
+
+# (command, flag, value) cases that the bad-flag tests above already run
+_COVERED = {
+    (command, flag, value)
+    for command, cases in (("gen-data", _BAD_GEN_DATA_FLAGS),
+                           ("train", _BAD_TRAIN_FLAGS),
+                           ("restore", _BAD_SAMPLER_FLAGS),
+                           ("ablate", _BAD_PT_STEPS))
+    for flags, _ in cases for flag, value in zip(flags[::2], flags[1::2])}
+_COVERED |= {("gen-data", "--count", "-1")}
+_COVERED |= {("restore", "--batch", v) for v in _BAD_BATCH}
+_COVERED |= {("ablate", "--t1", v) for v in _BAD_PT_T1}
+
+_BOUNDARY = [(command, _flag(key), value)
+             for command, table in _TABLES.items()
+             for key, (typ, _, domain) in table.items()
+             for value in _outside(key, typ, domain)
+             if (command, _flag(key), value) not in _COVERED]
+
+
+def _valid_argv(command, corpus, ckpt) -> list[str]:
+    return {
+        "gen-data": ["gen-data", "--count", "2"],
+        "train": ["train", "--stage", "weak", "--data", str(corpus),
+                  "--steps", "1", "--batch-size", "2"],
+        "restore": ["restore", "--ckpt", str(ckpt), "--in",
+                    str(corpus / "strong" / "00000.pgm"), "--steps", "3",
+                    "--t1", "2"],
+        "ablate": ["ablate", "--which", "sampling", "--ckpt", str(ckpt),
+                   "--eval-data", str(corpus), "--steps", "2", "--t1", "1",
+                   "--t1-list", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command,flag,value", _BOUNDARY,
+                         ids=[f"{c}{f}={v}" for c, f, v in _BOUNDARY])
+def test_values_just_outside_a_domain_exit_2_naming_the_flag(
+        corpus, weak_ckpt, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    assert main([*_valid_argv(command, corpus, weak_ckpt), "--out", str(out),
+                 f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    # restore reads no config file, so its messages name the flag alone
+    assert re.match(rf"error: {flag}[/ ]", err), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+def test_config_value_outside_its_domain_names_the_key(
+        corpus, weak_ckpt, tmp_path, capsys, command):
+    argv = _valid_argv(command, corpus, weak_ckpt)
+    # the first setting with a value outside its domain that no flag sets
+    key, value = next((key, v) for key, (typ, _, domain)
+                      in _TABLES[command].items() if _flag(key) not in argv
+                      for v in _outside(key, typ, domain))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {_flag(key)}/{key} must be in "), err
+    assert not out.exists()
+
+
+def test_every_value_option_has_a_domain_shown_in_its_help():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        settings = p.get_default("settings") or {}
+        assert settings is _TABLES.get(name, settings), name
+        for a in p._actions:
+            if not a.option_strings or a.nargs == 0 \
+                    or a.option_strings[0] in _NO_DOMAIN:
+                continue
+            assert a.dest in settings, (name, a.option_strings[0])
+            _, default, domain = settings[a.dest]
+            # the default lies in the domain, and --help shows both
+            for x in default.split(",") if a.dest == "t1_list" else [default]:
+                check(a.dest, int(x) if a.dest == "t1_list" else x, domain)
+            assert a.help.endswith(f"(default {default}, in {domain})"), \
+                a.help

@@ -1,3 +1,4 @@
+import re
 import struct
 from pathlib import Path
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from turbdiff.denoiser import init_params
-from turbdiff.formats import (DataError, load_checkpoint, parse_config_text,
-                              read_config_file, read_manifest, read_pgm,
-                              save_checkpoint, write_manifest, write_pgm)
+from turbdiff.formats import (DataError, load_checkpoint, load_dataset_dir,
+                              parse_config_text, read_config_file,
+                              read_manifest, read_pgm, save_checkpoint,
+                              write_manifest, write_pgm)
 from turbdiff.rng import Rng
 from turbdiff.training import Stage, TrainConfig
 
@@ -150,11 +152,16 @@ def test_checkpoint_header_values_are_validated(tmp_path):
                      (b"stage=weak", b"stage=medium"),
                      (b"stage=weak", b"stage=uncond"),
                      (b"step=0", b"step=-1"),
-                     (b"seed=0", b"seed=zero")):
+                     (b"seed=0", b"seed=zero"),
+                     (b"t_steps=1000", b"t_steps=0"),
+                     (b"beta_start=0.0001", b"beta_start=0.0"),
+                     (b"beta_end=0.02", b"beta_end=2.0")):
         h = header.replace(old, new, 1)
+        assert h != header
         bad.write_bytes(raw[:8] + struct.pack("<I", len(h)) + h
                         + raw[12 + n:])
-        with pytest.raises(DataError, match="bad header field"):
+        with pytest.raises(DataError,
+                           match=re.escape(f"{bad}: bad header field")):
             load_checkpoint(bad)
 
 
@@ -215,6 +222,28 @@ def test_manifest_malformed(tmp_path):
     path.write_text("one\ttwo\n")
     with pytest.raises(DataError, match="5 fields"):
         read_manifest(path)
+
+
+def test_dataset_images_share_one_size(tmp_path):
+    rows = []
+    for i, size in enumerate((8, 8, 6)):
+        item = f"{i:05d}"
+        for sub in ("clean", "weak", "strong"):
+            (tmp_path / sub).mkdir(exist_ok=True)
+            # the third item's strong image alone is 6x6
+            write_pgm(tmp_path / sub / f"{item}.pgm",
+                      np.zeros((size, size) if sub == "strong" else (8, 8)))
+        rows.append((item, f"clean/{item}.pgm", f"weak/{item}.pgm",
+                     f"strong/{item}.pgm", 0))
+    write_manifest(tmp_path / "manifest.txt", rows)
+    bad = tmp_path / "strong" / "00002.pgm"
+    first = tmp_path / "clean" / "00000.pgm"
+    with pytest.raises(DataError, match=re.escape(
+            f"{bad}: size (6, 6) differs from {first}'s (8, 8)")):
+        load_dataset_dir(tmp_path)
+    write_manifest(tmp_path / "manifest.txt", rows[:2])
+    ids, clean, weak, strong = load_dataset_dir(tmp_path)
+    assert ids == ["00000", "00001"] and strong.shape == (2, 1, 8, 8)
 
 
 def test_config_parsing():

@@ -414,4 +414,11 @@ def test_train_config_validation():
         TrainConfig(stage=Stage.WEAK_COND, gamma1=1.5)
     with pytest.raises(ValueError):
         TrainConfig(stage=Stage.WEAK_COND, dtype="float16")
+    for key, bad in (("t_steps", 0), ("beta_start", 0.0), ("beta_end", 1.0),
+                     ("beta_end", float("nan"))):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(stage=Stage.WEAK_COND, **{key: bad})
+    with pytest.raises(ValueError,
+                       match="beta_start must be <= beta_end, got 0.5 > 0.02"):
+        TrainConfig(stage=Stage.WEAK_COND, beta_start=0.5)
     assert TrainConfig(stage="weak").stage is Stage.WEAK_COND

@@ -264,8 +264,10 @@ def test_degradation_config_validation():
         DegradationConfig(elastic_sigma=-0.5)
     with pytest.raises(ValueError):
         DegradationConfig(elastic_alpha=-1.0)
-    for bad in ((2.0, 1.0), (-1.0, 1.5)):
-        msg = f"blur_sigma_range must satisfy 0 <= lo <= hi, got {bad}"
+    for bad, msg in (
+            ((2.0, 1.0), "blur_sigma_range[0] must be <= blur_sigma_range[1], "
+                         "got 2.0 > 1.0"),
+            ((-1.0, 1.5), "blur_sigma_range[0] must be in [0, inf), got -1.0")):
         with pytest.raises(ValueError, match=re.escape(msg)):
             DegradationConfig(blur_sigma_range=bad)
     with pytest.raises(ValueError):
