@@ -23,11 +23,20 @@ pass.  On other C libraries nothing is changed.
 
 Gradient conventions: :func:`backward` accumulates ``dLoss/dLeaf`` into
 ``.grad`` of every ``requires_grad`` leaf, additively across calls, until
-the caller resets ``.grad``.  It consumes the graph as it sweeps: once a
-node's vector-Jacobian product has run, the node drops its closure and its
-parents, so each saved activation is freed during the pass and a loss the
-caller still holds pins nothing.  A second :func:`backward` through a
-consumed node raises ``ValueError``; rebuild the graph with a new forward.
+the caller resets ``.grad``.
+
+Graph memory: the graph is made of nodes, not of tensors.  A tracked
+interior tensor points to its node; the node holds its parents' graph
+entries (their nodes, or the leaf tensors themselves) and the
+vector-Jacobian closure, and the closure holds only the arrays it reads
+(conv2d: its input and kernel; silu: its input; group_norm: its input and
+statistics).  So an activation that no closure reads, such as an addend,
+lives only as long as the caller's reference to its tensor.
+:func:`backward` consumes the graph as it sweeps: once a node's closure has
+run, the node drops it and its parents, so each saved array is freed
+during the pass and a loss the caller still holds pins nothing.  A second
+:func:`backward` through a consumed node raises ``ValueError``; rebuild
+the graph with a new forward.
 """
 
 from __future__ import annotations
@@ -89,11 +98,13 @@ class Tensor:
     """N-dimensional float array with optional gradient tracking.
 
     ``data`` is a numpy float array (row-major); ``grad``, once populated by
-    :func:`backward`, always matches ``data``'s shape.  Interior nodes hold
-    the recorded parents and a vector-Jacobian closure; leaves hold neither.
+    :func:`backward`, always matches ``data``'s shape.  A tracked interior
+    tensor points to its :class:`_Node`, which holds the parents' graph
+    entries and the vector-Jacobian closure; the tensor holds no parents.
+    A leaf has no node and is its own graph entry.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_graph")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -102,8 +113,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._vjp = None
+        self._graph = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -111,7 +121,21 @@ class Tensor:
 
     @property
     def is_leaf(self) -> bool:
-        return self._vjp is None
+        return self._graph is None
+
+    # the graph entry's fields; a leaf has no parents and no vjp
+    @property
+    def _parents(self) -> tuple:
+        return () if self._graph is None else self._graph._parents
+
+    @property
+    def _vjp(self):
+        return None if self._graph is None else self._graph._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp) -> None:
+        # perfbench's span tracer times backward by wrapping each op's vjp
+        self._graph._vjp = vjp
 
     def detach(self) -> "Tensor":
         """Same data, no tracking (data is shared, not copied)."""
@@ -130,17 +154,35 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
 
 
+class _Node:
+    """The graph record of a tracked interior tensor: its parents' graph
+    entries (a node, or a leaf tensor) and its vector-Jacobian closure.
+    It holds no array of its own, so the tensor's data lives only as long
+    as the caller's reference or a closure that reads it."""
+
+    __slots__ = ("_parents", "_vjp")
+    requires_grad = True
+    is_leaf = False
+
+    def __init__(self, parents: tuple, vjp):
+        self._parents, self._vjp = parents, vjp
+
+
 # stands in for the closure of a node that backward has run; a consumed
 # node is then neither a leaf nor differentiable again
 _CONSUMED = object()
+
+
+def _entry(t: Tensor):
+    """The graph entry of ``t``: its node, or ``t`` itself for a leaf."""
+    return t if t._graph is None else t._graph
 
 
 def _node(data, parents, vjp) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._graph = _Node(tuple(_entry(p) for p in parents), vjp)
     return out
 
 
@@ -278,8 +320,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         _need(b, "conv2d")
         if b.shape != (co,):
             raise ValueError(f"conv2d: bias shape {b.shape} != ({co},)")
-    wdat = w.data
-    out = _conv_rows(x.data, wdat)[0]
+    xd, wdat = x.data, w.data
+    x_grad, bias = x.requires_grad, b is not None
+    out = _conv_rows(xd, wdat)[0]
     out = np.ascontiguousarray(out) if b is None else out + b.data
 
     def vjp(g):
@@ -288,24 +331,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         # output row r's gradient is gflat[c + r], and dW[u, v] pairs it with
         # input row r + u*Wp + v.  An input that needs no gradient (the
         # stem's) gets None and only the padded g is built.  The padded
-        # input is rebuilt here rather than kept from the forward: x itself
-        # is saved as the parent anyway, and a kept copy would hold every
-        # conv input twice until backward; the re-pads cost ~0.5% of a
-        # training step
-        if x.requires_grad:
+        # input is rebuilt here rather than kept from the forward: x's data
+        # is saved for dW anyway, and a kept copy would hold every conv
+        # input twice until backward; the re-pads cost ~0.5% of a training
+        # step
+        if x_grad:
             wr = np.ascontiguousarray(
                 np.flip(wdat, (0, 1)).transpose(0, 1, 3, 2))
             dx, gflat = _conv_rows(g, wr)
             dx = np.ascontiguousarray(dx)
         else:
             dx, gflat = None, _padded_rows(g, kh, kw)
-        wp = x.shape[2] + kw - 1
+        wp = xd.shape[2] + kw - 1
         n, c = gflat.shape[0] - (kh - 1) * wp - (kw - 1), (kh // 2) * wp + kw // 2
-        xflat = _padded_rows(x.data, kh, kw)
+        xflat = _padded_rows(xd, kh, kw)
         dw = np.array([[xflat[u * wp + v:][:n].T @ gflat[c:c + n]
                         for v in range(kw)] for u in range(kh)])
         grads = (dx, dw)
-        return grads if b is None else grads + (g.sum(axis=(0, 1, 2)),)
+        return grads + (g.sum(axis=(0, 1, 2)),) if bias else grads
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out, parents, vjp)
@@ -376,7 +419,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
         xhat *= group_mean(gx_c * gd)  # in place: xhat is not read again
         dx -= xhat
         dx *= inv
-        return (dx.reshape(x.shape), gx_c.sum(axis=0), g_c.sum(axis=0))
+        return (dx.reshape(bsz, h, w, c), gx_c.sum(axis=0), g_c.sum(axis=0))
 
     return _node(out.reshape(x.shape), (x, gamma, beta), vjp)
 
@@ -504,10 +547,12 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise ValueError("backward: loss does not depend on any tracked tensor")
 
-    # iterative post-order topological sort
-    topo: list[Tensor] = []
+    # iterative post-order topological sort over graph entries: nodes, and
+    # leaf tensors as their own entries
+    root = _entry(loss)
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -526,11 +571,11 @@ def backward(loss: Tensor) -> None:
 
     # sweep in reverse topological order, popping each node and dropping
     # its closure and parents once its vjp has run
-    grads: dict[int, np.ndarray] = {id(loss): np.asarray(1.0, dtype=loss.data.dtype)}
+    grads: dict[int, np.ndarray] = {id(root): np.asarray(1.0, dtype=loss.data.dtype)}
     while topo:
         node = topo.pop()
         g = grads.pop(id(node), None)
-        if node._vjp is None:
+        if node._vjp is None:  # a leaf tensor
             if g is not None:
                 node.grad = g.copy() if node.grad is None else node.grad + g
             continue

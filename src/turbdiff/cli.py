@@ -40,7 +40,8 @@ from .schedule import respace
 from .toyfaces import SIZE, render, sample_spec
 from .training import (NumericError, PairedDataset, Stage, TrainConfig,
                        history_csv_rows, train_stage)
-from .turbulence import DegradationConfig, degrade_item
+from .turbulence import (WEAK_FACTOR, WEAK_FACTOR_DOMAIN, DegradationConfig,
+                         degrade_item)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,7 +144,7 @@ _GEN_KEYS = {
     "blur_sigma_min": (float, _BLUR[1][0], _BLUR[2]),
     "blur_sigma_max": (float, _BLUR[1][1], _BLUR[2]),
     "noise_std": _DEGRADATION["noise_std"],
-    "weak_factor": (int, 4, "[1, inf)"),
+    "weak_factor": (int, WEAK_FACTOR, WEAK_FACTOR_DOMAIN),
 }
 
 

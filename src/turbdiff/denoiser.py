@@ -199,8 +199,10 @@ def eps_predict(params: DenoiserParams, y_t, x, t) -> Tensor:
     hd = ad.avg_pool2(h1)
     h2 = _resblock(p, "b2", hd, emb, g)
     h3 = _resblock(p, "b3", h2, emb, g)
-    hu = ad.upsample2(h3)
-    hf = ad.add(ad.conv2d(hu, p["fuse.w"], p["fuse.b"]), h1)
+    # the 1x1 fuse conv commutes with nearest upsampling, so it runs at half
+    # resolution: the same output, a quarter of the FLOPs, and its dW reads
+    # h3 instead of an upsampled copy that the graph would keep
+    hf = ad.add(ad.upsample2(ad.conv2d(h3, p["fuse.w"], p["fuse.b"])), h1)
     h4 = _resblock(p, "b4", hf, emb, g)
     out = ad.silu(ad.group_norm(h4, p["head.gn.g"], p["head.gn.b"], g))
     out = ad.conv2d(out, p["head.w"], p["head.b"])

@@ -18,6 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import check, check_order
+
+# the standard linear schedule of T = 1000 training steps: the defaults and
+# domains of the schedule settings (``training.TrainConfig``'s t_steps,
+# beta_start and beta_end) and of linear_schedule's endpoints
+T_STEPS = 1000
+BETA_START, BETA_END = 1e-4, 0.02
+T_DOMAIN, BETA_DOMAIN = "[1, inf)", "(0, 1)"
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -39,18 +48,13 @@ class NoiseSchedule:
         return self.alpha_bar[t - 1]
 
 
-def linear_schedule(T: int, beta_start: float = 1e-4,
-                    beta_end: float = 0.02) -> NoiseSchedule:
-    """Linearly interpolated variances, inclusive of both endpoints.
-
-    The endpoint defaults are the standard linear schedule used with
-    T = 1000 training steps.
-    """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError(
-            f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
+def linear_schedule(T: int, beta_start: float = BETA_START,
+                    beta_end: float = BETA_END) -> NoiseSchedule:
+    """Linearly interpolated variances, inclusive of both endpoints."""
+    check("T", T, T_DOMAIN)
+    check("beta_start", beta_start, BETA_DOMAIN)
+    check("beta_end", beta_end, BETA_DOMAIN)
+    check_order("beta_start", "beta_end", beta_start, beta_end)
     beta = np.linspace(beta_start, beta_end, T)
     alpha_bar = np.cumprod(1.0 - beta)
     return NoiseSchedule(steps=np.arange(1, T + 1, dtype=np.int64), beta=beta,

@@ -26,7 +26,8 @@ from .denoiser import DenoiserParams, NetSpec, eps_predict, init_params
 from .diffusion import q_sample, to_signed
 from .domain import check_fields, check_order, setting
 from .rng import Rng
-from .schedule import NoiseSchedule, linear_schedule
+from .schedule import (BETA_DOMAIN, BETA_END, BETA_START, T_DOMAIN, T_STEPS,
+                       NoiseSchedule, linear_schedule)
 
 
 class NumericError(RuntimeError):
@@ -58,9 +59,9 @@ class TrainConfig:
     gamma: float = setting(0.01, "[0, inf)")      # distillation weight
     gamma1: float = setting(0.9909, "[0, 1]")     # EMA rate
     seed: int = setting(0, "(-inf, inf)")
-    t_steps: int = setting(1000, "[1, inf)")      # schedule length T
-    beta_start: float = setting(1e-4, "(0, 1)")
-    beta_end: float = setting(0.02, "(0, 1)")
+    t_steps: int = setting(T_STEPS, T_DOMAIN)    # schedule length T
+    beta_start: float = setting(BETA_START, BETA_DOMAIN)
+    beta_end: float = setting(BETA_END, BETA_DOMAIN)
     # training fast path; tests pin float64 paths
     dtype: str = setting("float32", "{float32, float64}")
 

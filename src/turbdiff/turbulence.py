@@ -31,8 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import check_fields, check_order, setting
+from .domain import check, check_fields, check_order, setting
 from .rng import Rng
+
+# the weak degradation's down/up-sampling factor: the default and domain of
+# gen-data's weak_factor, of degrade_weak and of degrade_item
+WEAK_FACTOR, WEAK_FACTOR_DOMAIN = 4, "[1, inf)"
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,7 @@ def _zoom_operator(n: int, factor: int) -> np.ndarray:
     return z
 
 
-def degrade_weak(img: np.ndarray, factor: int = 4) -> np.ndarray:
+def degrade_weak(img: np.ndarray, factor: int = WEAK_FACTOR) -> np.ndarray:
     """Box-downsample by ``factor`` then bicubic upsample back (deterministic).
 
     The upsample is ``ndimage.zoom(down, factor, order=3, mode="nearest",
@@ -236,8 +240,7 @@ def degrade_weak(img: np.ndarray, factor: int = 4) -> np.ndarray:
     """
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
-    if factor < 1:
-        raise ValueError(f"degrade_weak: factor must be >= 1, got {factor}")
+    check("factor", factor, WEAK_FACTOR_DOMAIN)
     if h % factor or w % factor:
         raise ValueError(f"degrade_weak: factor {factor} does not divide {(h, w)}")
     if factor == 1:
@@ -249,7 +252,8 @@ def degrade_weak(img: np.ndarray, factor: int = 4) -> np.ndarray:
 
 
 def degrade_item(img: np.ndarray, config: DegradationConfig, item_index: int,
-                 weak_factor: int = 4) -> tuple[np.ndarray, np.ndarray]:
+                 weak_factor: int = WEAK_FACTOR
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """(weak, strong) pair for one corpus item, reproducible from
     (config.seed, item_index) alone."""
     rng = Rng(config.seed).stream(item_index)

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -201,6 +202,28 @@ def test_backward_consumes_the_graph():
     assert ones.grad is None
     for t, g in zip((x, w, gamma, beta), grads):
         assert np.array_equal(t.grad, g)
+
+
+def test_a_node_keeps_only_the_arrays_its_vjp_reads():
+    rng = Rng(6)
+    x = t_(rng.gauss((2, 6, 6, 3)))
+    w = t_(rng.gauss((3, 3, 3, 3)))
+    y = t_(rng.gauss((2, 6, 6, 3)))
+    # add's vjp reads neither input, so the conv output dies with the
+    # caller's last reference, though its node stays in the graph
+    h = ad.conv2d(x, w)
+    summand = weakref.ref(h.data)
+    total = ad.add(h, y)
+    del h
+    assert summand() is None
+    # silu's vjp reads its input, which lives until backward has run it
+    h = ad.conv2d(x, w)
+    read = weakref.ref(h.data)
+    act = ad.silu(h)
+    del h
+    assert read() is not None
+    ad.backward(ad.tsum(ad.add(total, act)))
+    assert read() is None
 
 
 def test_conv2d_graph_saves_no_padded_input():

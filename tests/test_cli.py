@@ -1,6 +1,8 @@
 import argparse
 import hashlib
+import inspect
 import math
+import os
 import re
 import struct
 import types
@@ -8,14 +10,17 @@ import types
 import numpy as np
 import pytest
 
-from turbdiff import cli
+from turbdiff import cli, schedule, turbulence
 from turbdiff.cli import build_parser, main
 from turbdiff.denoiser import NetSpec, init_params
 from turbdiff.diffusion import restore
 from turbdiff.domain import check
 from turbdiff.formats import (DataError, load_checkpoint, read_pgm,
                               save_checkpoint, write_pgm)
+from turbdiff.metrics import psnr
 from turbdiff.rng import Rng
+from turbdiff.schedule import linear_schedule
+from turbdiff.turbulence import degrade_item, degrade_weak
 
 
 def test_gen_data_rejects_negative_count(tmp_path, capsys):
@@ -257,6 +262,29 @@ def test_parser_options_and_defaults_are_golden():
             list(_KEY_DEFAULTS[name].items()), name
         for typ, default, _ in table.values():
             assert type(default) is typ
+
+
+def test_library_defaults_are_the_table_defaults():
+    # the library functions perfbench calls directly keep their own
+    # signatures; their defaults and domains are the CLI table's
+    def param(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    train = cli._TRAIN_KEYS
+    for name in ("beta_start", "beta_end"):
+        assert param(linear_schedule, name) == train[name][1], name
+        assert schedule.BETA_DOMAIN == train[name][2], name
+    assert (schedule.T_STEPS, schedule.T_DOMAIN) == train["t_steps"][1:]
+    weak = cli._GEN_KEYS["weak_factor"]
+    assert param(degrade_weak, "factor") == weak[1]
+    assert param(degrade_item, "weak_factor") == weak[1]
+    assert turbulence.WEAK_FACTOR_DOMAIN == weak[2]
+    # and their guards reject what the table's domains reject
+    for bad in ((0,), (10, 0.0, 0.01), (10, 0.01, 1.0), (10, 0.02, 0.01)):
+        with pytest.raises(ValueError):
+            linear_schedule(*bad)
+    with pytest.raises(ValueError, match=re.escape("[1, inf)")):
+        degrade_weak(np.zeros((8, 8)), 0)
 
 
 def _header(path) -> dict[str, str]:
@@ -617,6 +645,30 @@ def test_restore_then_eval(corpus, weak_ckpt, tmp_path, capsys):
     rows = report.read_text().splitlines()
     assert rows[0] == "item_id,psnr,ssim"
     assert [r.split(",")[0] for r in rows[1:]] == names + ["mean"]
+
+
+# the benchmark's trained fixture and held-out corpus seed, far from the
+# seed (7) of the corpus the fixture was trained on
+FIXTURE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "fixture", "restore.ckpt")
+TEST_SEED = 1_000_003
+
+
+def test_restore_restores_at_the_cli_defaults(tmp_path):
+    # a quality floor: the trained fixture, restored at every sampler
+    # default, must beat its strongly degraded input.  Held-out faces gain
+    # +1.25 to +1.34 dB on average for seeds 0-2
+    data, out = tmp_path / "data", tmp_path / "restored"
+    assert main(["gen-data", "--out", str(data), "--count", "8",
+                 "--seed", str(TEST_SEED)]) == 0
+    names = [f"{i:05d}" for i in range(8)]
+    assert main(["restore", "--ckpt", FIXTURE, "--out", str(out), "--in",
+                 *(str(data / "strong" / f"{n}.pgm") for n in names)]) == 0
+    gains = [psnr(read_pgm(out / f"{n}.pgm"), clean)
+             - psnr(read_pgm(data / "strong" / f"{n}.pgm"), clean)
+             for n in names
+             for clean in [read_pgm(data / "clean" / f"{n}.pgm")]]
+    assert np.mean(gains) > 0.5, gains
 
 
 @pytest.fixture(scope="module")

@@ -127,3 +127,24 @@ def test_restore_entry_points_return_pairs():
                 restore_batched(x, zero, r, 2, Rng(1), batch_size=2)):
         assert isinstance(got, tuple) and len(got) == 2
         assert got[0].shape == x.shape
+
+
+def test_tracer_times_backward_per_op():
+    # the traced run times backward by wrapping each node's vjp, which it
+    # reads and assigns as ``out._vjp`` on the tensor an op returns
+    spans = _spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rng = Rng(2)
+        x = ad.Tensor(rng.gauss((1, 4, 4, 2)), requires_grad=True)
+        w = ad.Tensor(rng.gauss((3, 3, 2, 2)), requires_grad=True)
+        gamma = ad.Tensor(np.ones(2), requires_grad=True)
+        beta = ad.Tensor(np.zeros(2), requires_grad=True)
+        h = ad.group_norm(ad.conv2d(x, w), gamma, beta, 1)
+        ad.backward(ad.tsum(h))
+    finally:
+        tracer.uninstall()
+    names = {sp[spans.NAME] for sp in tracer.spans}
+    assert {"autodiff.conv2d.bwd", "autodiff.group_norm.bwd"} <= names, names
+    assert x.grad is not None and w.grad is not None

@@ -384,6 +384,31 @@ def test_train_stage_holds_one_graph_at_a_time():
     assert three <= 1.1 * one, (one, three)
 
 
+def test_distillation_graph_holds_only_what_backward_reads():
+    # the graph of one B=8 float32 distillation step of the default net, in
+    # units of one 32x32x32 activation (1 MiB), holds 21.0.  The bound fails
+    # a graph that keeps the arrays no vjp reads (31.5) and one whose fuse
+    # conv runs after the upsampling, so that its dW reads an upsampled
+    # copy of h3 (22.5)
+    spec, b = NetSpec(), 8
+    student = init_params(spec, Rng(1)).astype(np.float32)
+    teacher = student.copy(requires_grad=False)
+    rng = Rng(2)
+    y0, x_s, x_w, eps = (rng.gauss((b, 1, 32, 32)).astype(np.float32)
+                         for _ in range(4))
+    t = rng.integers(1, 1001, (b,))
+    unit = b * 32 * 32 * spec.widths[0] * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss, _, _ = loss_final(student, teacher, y0, x_s, x_w, t, eps,
+                                linear_schedule(1000), 0.01)
+        held = (tracemalloc.get_traced_memory()[0] - before) / unit
+    finally:
+        tracemalloc.stop()
+    assert 15 < held < 22, held
+
+
 def test_train_stage_validation():
     ds_noweak = PairedDataset(clean=np.zeros((4, 1, 6, 6)))
     with pytest.raises(ValueError, match="weak"):
