@@ -1,12 +1,14 @@
 """Command-line front end: dataset generation, staged training, restoration,
-evaluation, and the two ablation studies.
+evaluation, and the paper's two ablation studies.  ``ablate pt`` trains the
+progressive and the direct path on ``--train-data``; ``ablate sampling``
+restores from several starts with ``--ckpt``; each scores ``--eval-data``.
 
 Every command is deterministic given its seed, flags, and inputs.  Options
 may also come from a ``key=value`` config file (``--config``); explicit
 flags override file values, and unknown file keys are hard errors.
 
 Defaults and domains (valid values) have one source each.  The training
-flags and config keys of ``train`` and ``ablate`` are the fields of
+flags and config keys of ``train`` and ``ablate pt`` are the fields of
 :class:`TrainConfig` with their types, defaults and domains (``learning_rate``
 is spelled ``lr``), and a checkpoint header is a TrainConfig too.
 ``gen-data``'s degradation settings are those of :class:`DegradationConfig`,
@@ -29,7 +31,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .denoiser import DenoiserParams, NetSpec, make_denoise_fn
-from .diffusion import restore, restore_batched, to_signed, to_unit
+from .diffusion import (RESTORE_BATCH, restore, restore_batched, to_signed,
+                        to_unit)
 from .domain import SettingError, check
 from .formats import (DataError, load_checkpoint, load_dataset_dir,
                       read_config_file, read_pgm, save_checkpoint,
@@ -48,14 +51,14 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# key -> (type, default, domain) of restore's settings; ablate's sampler
-# has the same steps K and truncated start t1, and chunk size ``batch``
+# key -> (type, default, domain) of restore's settings; the ablation
+# studies' sampler has the same steps K, truncated start t1 and seed
 _RESTORE_KEYS = {
     "t1": (int, 30, "[1, inf)"),
     "steps": (int, 60, "[1, inf)"),
     "snapshots": (int, 0, "[0, inf)"),
     "seed": (int, 0, "(-inf, inf)"),
-    "batch": (int, 64, "[1, inf)"),
+    "batch": (int, RESTORE_BATCH, "[1, inf)"),
 }
 # field -> flag and config key, where they differ
 _KEY = {"learning_rate": "lr", "blur_sigma_range[0]": "blur_sigma_min",
@@ -67,6 +70,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # a flag is spelled in full: an abbreviation could silently name another
+    # setting, as --t1 would --t1-list
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with 2 on bad usage; this artifact reserves 2 for data
     # errors, so route usage problems to exit code 1 instead.
     def error(self, message):
@@ -344,9 +352,14 @@ def cmd_eval(args) -> int:
     if unmatched:
         raise DataError("unmatched items between --pred and --ref: "
                         + ", ".join(unmatched))
-    report = evaluate_pairs(
-        (item, read_pgm(pred[item]), read_pgm(ref[item]))
-        for item in sorted(pred))
+    def pair(item):
+        p, r = read_pgm(pred[item]), read_pgm(ref[item])
+        if p.shape != r.shape:
+            raise DataError(f"item {item}: {pred[item]} is {p.shape} but "
+                            f"{ref[item]} is {r.shape}")
+        return item, p, r
+
+    report = evaluate_pairs(pair(item) for item in sorted(pred))
     _write_csv(args.out, report.csv_rows())
     if report.count:
         print(f"{report.count} items: PSNR mean {report.psnr_mean:.2f} dB "
@@ -368,18 +381,28 @@ def _restore_eval(params: DenoiserParams, meta: TrainConfig,
     x = to_signed(eval_ds.strong)
     t0 = time.perf_counter()
     out, _ = restore_batched(x, fn, sched, t1, Rng(seed),
-                             noise_start=noise_start,
-                             batch_size=_RESTORE_KEYS["batch"][1])
+                             noise_start=noise_start)
     seconds = time.perf_counter() - t0
     restored = to_unit(out)
-    report = evaluate_pairs(
-        (eval_ds.ids[i], restored[i, 0], eval_ds.clean[i, 0])
-        for i in range(len(eval_ds)))
+    report = evaluate_pairs(zip(eval_ds.ids, restored[:, 0],
+                                eval_ds.clean[:, 0]))
     dists = np.mean((restored - eval_ds.strong) ** 2, axis=(1, 2, 3))
     return report, dists, seconds
 
 
-def cmd_ablate_pt(args, v) -> int:
+# ``steps`` is the sampler's K here; each training stage's steps have
+# their own keys
+_PT_KEYS = {
+    "steps_weak": _TRAIN_FIELDS["steps"],
+    "steps_strong": _TRAIN_FIELDS["steps"],
+    **_config_keys("steps"),
+    "steps": _RESTORE_KEYS["steps"],
+    "t1": _RESTORE_KEYS["t1"],
+}
+
+
+def cmd_ablate_pt(args) -> int:
+    v = _resolve(args)
     total = v["steps_weak"] + v["steps_strong"]
     # all three stage configs are built, and so checked, before any data is
     # read; checkpoint headers hold the base seed, the stage and the steps
@@ -435,7 +458,15 @@ def cmd_ablate_pt(args, v) -> int:
     return EXIT_OK
 
 
-def cmd_ablate_sampling(args, v) -> int:
+_SAMPLING_KEYS = {
+    "steps": _RESTORE_KEYS["steps"],
+    "t1_list": (str, "10,20,30,45,60", _RESTORE_KEYS["t1"][2]),
+    "seed": _RESTORE_KEYS["seed"],
+}
+
+
+def cmd_ablate_sampling(args) -> int:
+    v = _resolve(args)
     ckpt = load_checkpoint(args.ckpt)
     _check_sampler("t1_list", v["t1_list"], v["steps"], ckpt.meta.t_steps)
     eval_ds = _load_dataset("--eval-data", args.eval_data,
@@ -466,29 +497,6 @@ def cmd_ablate_sampling(args, v) -> int:
     for line in rows:
         print(line)
     return EXIT_OK
-
-
-# ``steps`` is the sampler's K here; each training stage's steps have
-# their own keys
-_ABLATE_KEYS = {
-    "steps_weak": _TRAIN_FIELDS["steps"],
-    "steps_strong": _TRAIN_FIELDS["steps"],
-    **_config_keys("steps"),
-    "steps": _RESTORE_KEYS["steps"],
-    "t1": _RESTORE_KEYS["t1"],
-    "t1_list": (str, "10,20,30,45,60", _RESTORE_KEYS["t1"][2]),
-}
-
-
-def cmd_ablate(args) -> int:
-    v = _resolve(args)
-    if args.which == "pt":
-        if not (args.train_data and args.eval_data):
-            raise UsageError("--which pt requires --train-data and --eval-data")
-        return cmd_ablate_pt(args, v)
-    if not (args.ckpt and args.eval_data):
-        raise UsageError("--which sampling requires --ckpt and --eval-data")
-    return cmd_ablate_sampling(args, v)
 
 
 # ---------------------------------------------------------------------------
@@ -558,24 +566,29 @@ def build_parser() -> _Parser:
     e.add_argument("--out", required=True)
     e.set_defaults(fn=cmd_eval)
 
-    a = sub.add_parser("ablate", help="progressive-training or sampling study")
-    a.add_argument("--which", required=True, choices=["pt", "sampling"])
-    a.add_argument("--train-data", default=None)
-    a.add_argument("--eval-data", default=None)
-    a.add_argument("--ckpt", default=None)
-    a.add_argument("--out", required=True)
-    a.add_argument("--config", default=None)
-    _add_settings(a, _ABLATE_KEYS, steps="the sampler's respaced steps K",
-                  t1="--which pt's truncated start, at most --steps",
-                  t1_list="--which sampling's starts, each at most --steps")
-    a.set_defaults(fn=cmd_ablate, settings=_ABLATE_KEYS)
+    a = sub.add_parser("ablate", help="the paper's two ablation studies")
+    studies = a.add_subparsers(dest="study", required=True)
+    for name, data, table, fn, about, helps in (
+            ("pt", "--train-data", _PT_KEYS, cmd_ablate_pt,
+             "progressive against direct training on --train-data",
+             dict(t1="truncated start step, at most --steps")),
+            ("sampling", "--ckpt", _SAMPLING_KEYS, cmd_ablate_sampling,
+             "truncated starts against the chain from noise, with --ckpt",
+             dict(t1_list="truncated starts, each at most --steps"))):
+        s = studies.add_parser(name, help=f"{about}; scores --eval-data")
+        for flag in (data, "--eval-data", "--out"):
+            s.add_argument(flag, required=True)
+        s.add_argument("--config", default=None)
+        _add_settings(s, table, steps="the sampler's respaced steps K",
+                      **helps)
+        s.set_defaults(fn=fn, settings=table)
     return p
 
 
 @functools.cache
 def _parser() -> _Parser:
     """The parser of :func:`main`, built once per process: building it
-    makes about 66 ``add_argument`` calls, and parsing leaves it unchanged."""
+    makes about 70 ``add_argument`` calls, and parsing leaves it unchanged."""
     return build_parser()
 
 

@@ -17,6 +17,8 @@ import numpy as np
 from .rng import Rng
 from .schedule import NoiseSchedule
 
+RESTORE_BATCH = 64
+
 
 def to_signed(img01: np.ndarray) -> np.ndarray:
     """Map [0, 1] storage range to the [-1, 1] model range."""
@@ -148,7 +150,7 @@ def restore(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
 
 def restore_batched(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
                     rng: Rng, noise_start: bool = False,
-                    batch_size: int = 64) -> tuple[np.ndarray, list]:
+                    batch_size: int = RESTORE_BATCH) -> tuple[np.ndarray, list]:
     """Run :func:`restore` over a large item set in memory-bounded chunks.
 
     Per-item noise streams are indexed globally, so the result for item i is

@@ -13,7 +13,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -118,14 +118,8 @@ class Checkpoint:
 
 def _header_text(spec: NetSpec, meta: TrainConfig, has_teacher: bool,
                  has_opt: bool) -> str:
-    kv = {
-        "image_size": spec.image_size,
-        "widths": ",".join(str(w) for w in spec.widths),
-        "emb_dim": spec.emb_dim,
-        "groups": spec.groups,
-        "cond_channels": spec.cond_channels,
-        "out_channels": spec.out_channels,
-    }
+    kv = {f.name: ",".join(map(str, v)) if isinstance(v, tuple) else v
+          for f in fields(NetSpec) for v in [getattr(spec, f.name)]}
     for key, (name, typ) in _META.items():
         v = getattr(meta, name)
         kv[key] = (v.value if typ is Stage
@@ -195,18 +189,6 @@ def save_checkpoint(path, student: DenoiserParams,
                 _write_tensor(f, f"opt_v/{name}", opt_v[name])
 
 
-def _parse_header(text: str) -> dict[str, str]:
-    kv = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"checkpoint: malformed header line {line!r}")
-        k, v = line.split("=", 1)
-        kv[k] = v
-    return kv
-
-
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         f = io.BytesIO(fh.read())
@@ -216,16 +198,13 @@ def load_checkpoint(path) -> Checkpoint:
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<I", _read(f, 4, "header length"))
-    kv = _parse_header(_read(f, hlen, "header").decode("utf-8", "replace"))
+    kv = parse_config_text(_read(f, hlen, "header").decode("utf-8", "replace"),
+                           f"{path} header")
     try:
-        spec = NetSpec(
-            image_size=int(kv["image_size"]),
-            widths=tuple(int(w) for w in kv["widths"].split(",")),
-            emb_dim=int(kv["emb_dim"]),
-            groups=int(kv["groups"]),
-            cond_channels=int(kv["cond_channels"]),
-            out_channels=int(kv["out_channels"]),
-        )
+        spec = NetSpec(**{
+            f.name: (tuple(int(w) for w in kv[f.name].split(","))
+                     if isinstance(f.default, tuple) else int(kv[f.name]))
+            for f in fields(NetSpec)})
         meta = TrainConfig(**{name: typ(kv[key])
                               for key, (name, typ) in _META.items()})
         has_teacher = bool(int(kv["has_teacher"]))
@@ -322,26 +301,31 @@ def load_dataset_dir(dirpath):
 # key=value config files
 # ---------------------------------------------------------------------------
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse key=value lines; '#' starts a comment; blank lines ignored."""
-    out = {}
+def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
+    """Parse key=value lines; '#' starts a comment; blank lines ignored; a
+    key may appear once.  Messages name the text by ``source``."""
+    out, line_of = {}, {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise DataError(f"config line {ln}: expected key=value, got {raw!r}")
+            raise DataError(f"{source} line {ln}: expected key=value, "
+                            f"got {raw!r}")
         k, v = (s.strip() for s in line.split("=", 1))
         if not k:
-            raise DataError(f"config line {ln}: empty key")
-        out[k] = v
+            raise DataError(f"{source} line {ln}: empty key")
+        if k in out:
+            raise DataError(f"{source} lines {line_of[k]} and {ln} both set "
+                            f"{k}")
+        out[k], line_of[k] = v, ln
     return out
 
 
 def read_config_file(path, allowed_keys) -> dict[str, str]:
     """Parse a config file and reject unknown keys (all listed at once)."""
     with open(path, encoding="utf-8") as f:
-        kv = parse_config_text(f.read())
+        kv = parse_config_text(f.read(), f"config {path}")
     unknown = sorted(set(kv) - set(allowed_keys))
     if unknown:
         raise DataError(

@@ -48,7 +48,7 @@ ADAM_EPS = 1e-8
 @dataclass
 class TrainConfig:
     """Settings for one training stage, and the one table of training
-    defaults: the ``train`` and ``ablate`` flags and config keys of the CLI
+    defaults: the ``train`` and ``ablate pt`` flags and config keys of the CLI
     take their names, types, defaults and domains from these fields, and a
     checkpoint header stores a subset of them (``formats.Checkpoint``)."""
 

@@ -13,7 +13,7 @@ import pytest
 from turbdiff import cli, schedule, turbulence
 from turbdiff.cli import build_parser, main
 from turbdiff.denoiser import NetSpec, init_params
-from turbdiff.diffusion import restore
+from turbdiff.diffusion import restore, restore_batched
 from turbdiff.domain import check
 from turbdiff.formats import (DataError, load_checkpoint, read_pgm,
                               save_checkpoint, write_pgm)
@@ -182,6 +182,28 @@ def test_cut_checkpoint_is_a_data_error_and_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, (n, err)
 
 
+@pytest.mark.parametrize("old,new,named", [
+    (b"has_opt=0", b"has_opt:0",
+     "header line 16: expected key=value, got 'has_opt:0'"),
+    (b"has_opt=0", b"seed=0", "header lines 11 and 16 both set seed")],
+    ids=["no-equals", "repeated-key"])
+def test_malformed_checkpoint_header_exits_2_naming_the_file(
+        tmp_path, capsys, old, new, named):
+    spec = NetSpec(image_size=4, widths=(2, 2, 2, 2), emb_dim=2, groups=1)
+    ckpt = tmp_path / "tiny.ckpt"
+    save_checkpoint(ckpt, init_params(spec, Rng(0)))
+    raw = ckpt.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    header = raw[12:12 + n].replace(old, new)
+    ckpt.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header
+                     + raw[12 + n:])
+    out = tmp_path / "out"
+    assert main(["restore", "--ckpt", str(ckpt), "--in",
+                 str(tmp_path / "x.pgm"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {ckpt} {named}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the command-line contract: options, defaults, config files, outputs
 # ---------------------------------------------------------------------------
@@ -213,9 +235,8 @@ _OPTIONS = {
         ("--seed", 0, "int"), ("--batch", 64, "int")],
     "eval": [("--pred", None, None), ("--ref", None, None),
              ("--out", None, None)],
-    "ablate": [
-        ("--which", None, None), ("--train-data", None, None),
-        ("--eval-data", None, None), ("--ckpt", None, None),
+    "ablate pt": [
+        ("--train-data", None, None), ("--eval-data", None, None),
         ("--out", None, None), ("--config", None, None),
         ("--steps-weak", None, "int"), ("--steps-strong", None, "int"),
         ("--batch-size", None, "int"), ("--lr", None, "float"),
@@ -223,7 +244,12 @@ _OPTIONS = {
         ("--seed", None, "int"), ("--t-steps", None, "int"),
         ("--beta-start", None, "float"), ("--beta-end", None, "float"),
         ("--dtype", None, "str"), ("--steps", None, "int"),
-        ("--t1", None, "int"), ("--t1-list", None, "str")],
+        ("--t1", None, "int")],
+    "ablate sampling": [
+        ("--ckpt", None, None), ("--eval-data", None, None),
+        ("--out", None, None), ("--config", None, None),
+        ("--steps", None, "int"), ("--t1-list", None, "str"),
+        ("--seed", None, "int")],
 }
 
 _TRAIN_DEFAULTS = {
@@ -241,22 +267,33 @@ _KEY_DEFAULTS = {
         "noise_std": (float, 1e-4), "weak_factor": (int, 4)},
     "train": {"steps": (int, 2500), **_TRAIN_DEFAULTS,
               "checkpoint_every": (int, 0)},
-    "ablate": {"steps_weak": (int, 2500), "steps_strong": (int, 2500),
-               **_TRAIN_DEFAULTS, "steps": (int, 60), "t1": (int, 30),
-               "t1_list": (str, "10,20,30,45,60")},
+    "ablate pt": {"steps_weak": (int, 2500), "steps_strong": (int, 2500),
+                  **_TRAIN_DEFAULTS, "steps": (int, 60), "t1": (int, 30)},
+    "ablate sampling": {"steps": (int, 60), "t1_list": (str, "10,20,30,45,60"),
+                        "seed": (int, 0)},
 }
 
 
+def _commands(parser, path=()):
+    """(name, parser) of each command that runs; a nested command is named
+    by its path, such as "ablate pt"."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for a in subs:
+        for name, p in a.choices.items():
+            yield from _commands(p, (*path, name))
+
+
 def test_parser_options_and_defaults_are_golden():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     got = {name: [(a.option_strings[0], a.default,
                    getattr(a.type, "__name__", None))
                    for a in p._actions if a.option_strings[0] != "-h"]
-           for name, p in sub.choices.items()}
+           for name, p in _commands(build_parser())}
     assert got == _OPTIONS
     tables = {"gen-data": cli._GEN_KEYS, "train": cli._TRAIN_KEYS,
-              "ablate": cli._ABLATE_KEYS}
+              "ablate pt": cli._PT_KEYS, "ablate sampling": cli._SAMPLING_KEYS}
     for name, table in tables.items():
         assert [(k, entry[:2]) for k, entry in table.items()] == \
             list(_KEY_DEFAULTS[name].items()), name
@@ -279,6 +316,7 @@ def test_library_defaults_are_the_table_defaults():
     assert param(degrade_weak, "factor") == weak[1]
     assert param(degrade_item, "weak_factor") == weak[1]
     assert turbulence.WEAK_FACTOR_DOMAIN == weak[2]
+    assert param(restore_batched, "batch_size") == cli._RESTORE_KEYS["batch"][1]
     # and their guards reject what the table's domains reject
     for bad in ((0,), (10, 0.0, 0.01), (10, 0.01, 1.0), (10, 0.02, 0.01)):
         with pytest.raises(ValueError):
@@ -398,7 +436,7 @@ def test_train_strong_from_weak_checkpoint(corpus, weak_ckpt, tmp_path):
 def test_ablate_sampling_writes_both_csvs(corpus, weak_ckpt, tmp_path,
                                           capsys):
     out = tmp_path / "abl"
-    assert main(["ablate", "--which", "sampling", "--ckpt", str(weak_ckpt),
+    assert main(["ablate", "sampling", "--ckpt", str(weak_ckpt),
                  "--eval-data", str(corpus), "--out", str(out),
                  "--steps", "2", "--t1-list", "1,2"]) == 0
     rows = (out / "sampling_ablation.csv").read_text().splitlines()
@@ -412,7 +450,7 @@ def test_ablate_sampling_writes_both_csvs(corpus, weak_ckpt, tmp_path,
     for i, bad in enumerate(["1,x", "1,3", "0"]):
         out = tmp_path / f"bad{i}"
         capsys.readouterr()
-        assert main(["ablate", "--which", "sampling", "--ckpt", str(weak_ckpt),
+        assert main(["ablate", "sampling", "--ckpt", str(weak_ckpt),
                      "--eval-data", str(corpus), "--out", str(out),
                      "--steps", "2", "--t1-list", bad]) == 2
         err = capsys.readouterr().err
@@ -422,7 +460,7 @@ def test_ablate_sampling_writes_both_csvs(corpus, weak_ckpt, tmp_path,
 
 def test_ablate_pt_checkpoint_headers(corpus, tmp_path):
     out = tmp_path / "pt"
-    assert main(["ablate", "--which", "pt", "--train-data", str(corpus),
+    assert main(["ablate", "pt", "--train-data", str(corpus),
                  "--eval-data", str(corpus), "--out", str(out),
                  "--steps-weak", "1", "--steps-strong", "2",
                  "--batch-size", "2", "--seed", "4", "--steps", "2",
@@ -438,13 +476,39 @@ def test_ablate_pt_checkpoint_headers(corpus, tmp_path):
         [["progressive", "3"], ["direct", "3"]]
 
 
+def test_ablate_sampling_rejects_a_training_key_in_its_config(
+        corpus, weak_ckpt, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps=2\nlr=0.1\n")
+    out = tmp_path / "abl"
+    assert main(["ablate", "sampling", "--ckpt", str(weak_ckpt),
+                 "--eval-data", str(corpus), "--out", str(out),
+                 "--t1-list", "1", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "lr" in err
+    assert "(allowed: seed, steps, t1_list)" in err
+    assert not out.exists()
+
+
+def test_config_file_may_set_a_key_once(corpus, weak_ckpt, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps=2\n# K\nsteps=3\n")
+    out = tmp_path / "abl"
+    assert main(["ablate", "sampling", "--ckpt", str(weak_ckpt),
+                 "--eval-data", str(corpus), "--out", str(out),
+                 "--t1-list", "1", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: config {cfg} lines 1 and 3 both set steps\n"
+    assert not out.exists()
+
+
 _BAD_PT_T1 = ["0", "6"]
 
 
 @pytest.mark.parametrize("t1", _BAD_PT_T1)
 def test_ablate_pt_rejects_t1_outside_steps(corpus, tmp_path, capsys, t1):
     out = tmp_path / "pt"
-    assert main(["ablate", "--which", "pt", "--train-data", str(corpus),
+    assert main(["ablate", "pt", "--train-data", str(corpus),
                  "--eval-data", str(corpus), "--out", str(out),
                  "--steps-weak", "1", "--steps-strong", "1",
                  "--batch-size", "2", "--steps", "5", "--t1", t1]) == 2
@@ -464,7 +528,7 @@ _BAD_PT_STEPS = [
 def test_ablate_pt_rejects_stage_steps_before_training(corpus, tmp_path,
                                                        capsys, flags, named):
     out = tmp_path / "pt"
-    assert main(["ablate", "--which", "pt", "--train-data", str(corpus),
+    assert main(["ablate", "pt", "--train-data", str(corpus),
                  "--eval-data", str(corpus), "--out", str(out),
                  "--batch-size", "2", "--steps", "2", "--t1", "1",
                  *flags]) == 2
@@ -489,11 +553,11 @@ def test_empty_dataset_exits_2_naming_it(corpus, weak_ckpt, empty_corpus,
     argv = {
         "train": ["train", "--stage", "weak", "--data", str(empty_corpus),
                   "--steps", "1"],
-        "ablate-sampling": ["ablate", "--which", "sampling",
+        "ablate-sampling": ["ablate", "sampling",
                             "--ckpt", str(weak_ckpt),
                             "--eval-data", str(empty_corpus), "--steps", "2",
                             "--t1-list", "1"],
-        "ablate-pt": ["ablate", "--which", "pt", "--train-data",
+        "ablate-pt": ["ablate", "pt", "--train-data",
                       str(empty_corpus), "--eval-data", str(corpus),
                       "--steps-weak", "1", "--steps-strong", "1",
                       "--batch-size", "2", "--steps", "2", "--t1", "1"],
@@ -647,6 +711,23 @@ def test_restore_then_eval(corpus, weak_ckpt, tmp_path, capsys):
     assert [r.split(",")[0] for r in rows[1:]] == names + ["mean"]
 
 
+def test_eval_names_the_item_whose_sizes_differ(corpus, tmp_path, capsys):
+    pred, ref = tmp_path / "pred", tmp_path / "ref"
+    pred.mkdir()
+    ref.mkdir()
+    for n in ("00000", "00001"):
+        clean = read_pgm(corpus / "clean" / f"{n}.pgm")
+        write_pgm(ref / f"{n}.pgm", clean)
+        write_pgm(pred / f"{n}.pgm", clean[::2, ::2] if n == "00001" else clean)
+    report = tmp_path / "eval.csv"
+    assert main(["eval", "--pred", str(pred), "--ref", str(ref),
+                 "--out", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: item 00001: {pred / '00001.pgm'} is (16, 16) but "
+        f"{ref / '00001.pgm'} is (32, 32)\n")
+    assert not report.exists()
+
+
 # the benchmark's trained fixture and held-out corpus seed, far from the
 # seed (7) of the corpus the fixture was trained on
 FIXTURE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -690,16 +771,16 @@ def test_dataset_size_must_match_the_network(corpus, weak_ckpt, small_corpus,
         "train": ("--data", ["train", "--stage", "weak", "--data",
                              str(small_corpus), "--steps", "1"]),
         "ablate-sampling": ("--eval-data", [
-            "ablate", "--which", "sampling", "--ckpt", str(weak_ckpt),
+            "ablate", "sampling", "--ckpt", str(weak_ckpt),
             "--eval-data", str(small_corpus), "--steps", "2",
             "--t1-list", "1"]),
         "ablate-pt": ("--train-data", [
-            "ablate", "--which", "pt", "--train-data", str(small_corpus),
+            "ablate", "pt", "--train-data", str(small_corpus),
             "--eval-data", str(corpus), "--steps-weak", "1",
             "--steps-strong", "1", "--batch-size", "2", "--steps", "2",
             "--t1", "1"]),
         "ablate-pt-eval": ("--eval-data", [
-            "ablate", "--which", "pt", "--train-data", str(corpus),
+            "ablate", "pt", "--train-data", str(corpus),
             "--eval-data", str(small_corpus), "--steps-weak", "1",
             "--steps-strong", "1", "--batch-size", "2", "--steps", "2",
             "--t1", "1"]),
@@ -722,10 +803,10 @@ def test_sampler_steps_at_most_the_schedule_length(corpus, weak_ckpt,
     argv, named = {
         "restore": (["restore", "--ckpt", str(weak_ckpt), "--in",
                      str(corpus / "strong" / "00000.pgm")], "--steps"),
-        "ablate-sampling": (["ablate", "--which", "sampling", "--ckpt",
+        "ablate-sampling": (["ablate", "sampling", "--ckpt",
                              str(weak_ckpt), "--eval-data", str(corpus),
                              "--t1-list", "5"], "--steps/steps"),
-        "ablate-pt": (["ablate", "--which", "pt", "--train-data", str(corpus),
+        "ablate-pt": (["ablate", "pt", "--train-data", str(corpus),
                        "--eval-data", str(corpus), "--steps-weak", "1",
                        "--steps-strong", "1", "--batch-size", "2",
                        "--t-steps", "500", "--t1", "5"], "--steps/steps"),
@@ -743,12 +824,13 @@ def test_sampler_steps_at_most_the_schedule_length(corpus, weak_ckpt,
 # ---------------------------------------------------------------------------
 
 _TABLES = {"gen-data": cli._GEN_KEYS, "train": cli._TRAIN_KEYS,
-           "restore": cli._RESTORE_KEYS, "ablate": cli._ABLATE_KEYS}
+           "restore": cli._RESTORE_KEYS, "ablate pt": cli._PT_KEYS,
+           "ablate sampling": cli._SAMPLING_KEYS}
 
 # the value-taking options that name a path or a choice: no domain
 _NO_DOMAIN = {"--out", "--data", "--ckpt", "--in", "--config", "--init",
               "--teacher", "--loss-csv", "--train-data", "--eval-data",
-              "--pred", "--ref", "--stage", "--which"}
+              "--pred", "--ref", "--stage"}
 
 
 def _flag(key: str) -> str:
@@ -780,11 +862,11 @@ _COVERED = {
     for command, cases in (("gen-data", _BAD_GEN_DATA_FLAGS),
                            ("train", _BAD_TRAIN_FLAGS),
                            ("restore", _BAD_SAMPLER_FLAGS),
-                           ("ablate", _BAD_PT_STEPS))
+                           ("ablate pt", _BAD_PT_STEPS))
     for flags, _ in cases for flag, value in zip(flags[::2], flags[1::2])}
 _COVERED |= {("gen-data", "--count", "-1")}
 _COVERED |= {("restore", "--batch", v) for v in _BAD_BATCH}
-_COVERED |= {("ablate", "--t1", v) for v in _BAD_PT_T1}
+_COVERED |= {("ablate pt", "--t1", v) for v in _BAD_PT_T1}
 
 _BOUNDARY = [(command, _flag(key), value)
              for command, table in _TABLES.items()
@@ -801,14 +883,29 @@ def _valid_argv(command, corpus, ckpt) -> list[str]:
         "restore": ["restore", "--ckpt", str(ckpt), "--in",
                     str(corpus / "strong" / "00000.pgm"), "--steps", "3",
                     "--t1", "2"],
-        "ablate": ["ablate", "--which", "sampling", "--ckpt", str(ckpt),
-                   "--eval-data", str(corpus), "--steps", "2", "--t1", "1",
-                   "--t1-list", "1"],
+        "ablate pt": ["ablate", "pt", "--train-data", str(corpus),
+                      "--eval-data", str(corpus), "--steps-weak", "1",
+                      "--steps-strong", "1", "--batch-size", "2",
+                      "--steps", "2", "--t1", "1"],
+        # --steps left to its default, so that a config file may set it
+        "ablate sampling": ["ablate", "sampling", "--ckpt", str(ckpt),
+                            "--eval-data", str(corpus), "--t1-list", "1"],
     }[command]
 
 
+def _ids(cases) -> list[str]:
+    """pytest ids of (command, rest) cases: the top-level command, then
+    ``rest``; a case that both ablate studies run names its study the
+    second time."""
+    ids = []
+    for command, rest in cases:
+        short = command.split()[0] + rest
+        ids.append(command.replace(" ", "-") + rest if short in ids else short)
+    return ids
+
+
 @pytest.mark.parametrize("command,flag,value", _BOUNDARY,
-                         ids=[f"{c}{f}={v}" for c, f, v in _BOUNDARY])
+                         ids=_ids((c, f"{f}={v}") for c, f, v in _BOUNDARY))
 def test_values_just_outside_a_domain_exit_2_naming_the_flag(
         corpus, weak_ckpt, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
@@ -821,7 +918,11 @@ def test_values_just_outside_a_domain_exit_2_naming_the_flag(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+_CONFIG_COMMANDS = ["gen-data", "train", "ablate pt", "ablate sampling"]
+
+
+@pytest.mark.parametrize("command", _CONFIG_COMMANDS,
+                         ids=_ids((c, "") for c in _CONFIG_COMMANDS))
 def test_config_value_outside_its_domain_names_the_key(
         corpus, weak_ckpt, tmp_path, capsys, command):
     argv = _valid_argv(command, corpus, weak_ckpt)
@@ -838,10 +939,36 @@ def test_config_value_outside_its_domain_names_the_key(
     assert not out.exists()
 
 
+# (study, flag) of each setting or path flag of the other ablate study
+_FOREIGN = [
+    *(("ablate pt", _flag(k)) for k in cli._SAMPLING_KEYS
+      if k not in cli._PT_KEYS), ("ablate pt", "--ckpt"),
+    *(("ablate sampling", _flag(k)) for k in cli._PT_KEYS
+      if k not in cli._SAMPLING_KEYS), ("ablate sampling", "--train-data")]
+
+
+@pytest.mark.parametrize("command,flag", _FOREIGN,
+                         ids=[f"{c.replace(' ', '-')}{f}" for c, f in _FOREIGN])
+def test_an_ablate_study_rejects_the_other_studys_flags(
+        corpus, weak_ckpt, tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    assert main([*_valid_argv(command, corpus, weak_ckpt), "--out", str(out),
+                 flag, "1"]) == 1
+    assert f"error: unrecognized arguments: {flag} 1" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_takes_no_which_flag(corpus, weak_ckpt, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = _valid_argv("ablate pt", corpus, weak_ckpt)
+    assert main(["ablate", "--which", *argv[1:], "--out", str(out)]) == 1
+    assert "error: unrecognized arguments: --which" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_value_option_has_a_domain_shown_in_its_help():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for name, p in sub.choices.items():
+    for name, p in _commands(build_parser()):
         settings = p.get_default("settings") or {}
         assert settings is _TABLES.get(name, settings), name
         for a in p._actions:

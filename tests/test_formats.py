@@ -253,6 +253,9 @@ def test_config_parsing():
         parse_config_text("not a pair\n")
     with pytest.raises(DataError, match="empty key"):
         parse_config_text("=3\n")
+    with pytest.raises(DataError, match=re.escape(
+            "run.cfg lines 2 and 4 both set b")):
+        parse_config_text("a=1\nb=2\n\nb = 2\n", "run.cfg")
 
 
 def test_config_unknown_keys_are_listed(tmp_path):
