@@ -48,7 +48,7 @@ from contextlib import contextmanager
 import numpy as np
 
 __all__ = [
-    "Tensor", "tensor", "no_grad", "backward",
+    "Tensor", "no_grad", "backward",
     "add", "sub", "mul", "scale", "matmul", "add_bias",
     "conv2d", "silu", "group_norm",
     "avg_pool2", "upsample2", "concat_channels", "add_channel_map",
@@ -148,10 +148,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 class _Node:

@@ -1,7 +1,8 @@
 """Command-line front end: dataset generation, staged training, restoration,
 evaluation, and the paper's two ablation studies.  ``ablate pt`` trains the
 progressive and the direct path on ``--train-data``; ``ablate sampling``
-restores from several starts with ``--ckpt``; each scores ``--eval-data``.
+restores with ``--ckpt`` from several truncated starts ``t1`` and from the
+full chain, ``t1 = --steps``; each scores ``--eval-data``.
 
 Every command is deterministic given its seed, flags, and inputs.  Options
 may also come from a ``key=value`` config file (``--config``); explicit
@@ -97,12 +98,16 @@ def _resolve(args) -> dict:
                 raise DataError(f"config key {key}: cannot parse "
                                 f"{file_kv[key]!r} as {typ.__name__}")
         v = default if v is None else v
-        if key == "t1_list":  # comma-separated integers, each in the domain
+        if key == "t1_list":  # distinct comma-separated integers
             try:
-                v = [int(s) for s in v.split(",") if s]
+                t1s = [int(s) for s in v.split(",")]
             except ValueError:
                 raise SettingError(lambda n: f"{n}: cannot parse {v!r} as "
                                    f"comma-separated integers", key)
+            if len(set(t1s)) < len(t1s):
+                raise SettingError(lambda n: f"{n}: {v!r} repeats a value",
+                                   key)
+            v = t1s
         for x in v if isinstance(v, list) else [v]:
             check(key, x, domain)
         out[key] = v
@@ -281,12 +286,7 @@ def _checkpoint_sampler(student: DenoiserParams, meta: TrainConfig,
 
 def cmd_restore(args) -> int:
     v = _resolve(args)
-    K = v["steps"]
-    # --noise-start moves --t1's default to --steps
-    t1 = K if args.noise_start and args.t1 is None else v["t1"]
-    if args.noise_start and t1 != K:
-        raise SettingError(lambda t, k: f"--noise-start requires {t} == {k} "
-                           f"= {K}, got {t1}", "t1", "steps")
+    K, t1 = v["steps"], v["t1"]
     ckpt = load_checkpoint(args.ckpt)
     _check_sampler("t1", [t1], K, ckpt.meta.t_steps)
     size = ckpt.student.spec.image_size
@@ -315,7 +315,6 @@ def cmd_restore(args) -> int:
         hi = min(lo + v["batch"], len(x))
         t0 = time.perf_counter()
         out, snapshots = restore(x[lo:hi], fn, sched, t1, rng,
-                                 noise_start=args.noise_start,
                                  snapshot_every=v["snapshots"],
                                  stream_offset=lo)
         per_item = (time.perf_counter() - t0) / (hi - lo)
@@ -375,13 +374,11 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _restore_eval(params: DenoiserParams, meta: TrainConfig,
-                  eval_ds: PairedDataset, t1: int, steps: int, seed: int,
-                  noise_start: bool = False):
+                  eval_ds: PairedDataset, t1: int, steps: int, seed: int):
     fn, sched = _checkpoint_sampler(params, meta, steps)
     x = to_signed(eval_ds.strong)
     t0 = time.perf_counter()
-    out, _ = restore_batched(x, fn, sched, t1, Rng(seed),
-                             noise_start=noise_start)
+    out, _ = restore_batched(x, fn, sched, t1, Rng(seed))
     seconds = time.perf_counter() - t0
     restored = to_unit(out)
     report = evaluate_pairs(zip(eval_ds.ids, restored[:, 0],
@@ -467,32 +464,30 @@ _SAMPLING_KEYS = {
 
 def cmd_ablate_sampling(args) -> int:
     v = _resolve(args)
+    K = v["steps"]
     ckpt = load_checkpoint(args.ckpt)
-    _check_sampler("t1_list", v["t1_list"], v["steps"], ckpt.meta.t_steps)
+    _check_sampler("t1_list", v["t1_list"], K, ckpt.meta.t_steps)
     eval_ds = _load_dataset("--eval-data", args.eval_data,
                             ckpt.student.spec.image_size)
     os.makedirs(args.out, exist_ok=True)
 
     rows = ["variant,t1,nfe,seconds_per_item,psnr_mean,ssim_mean,dist_mean"]
-    per_item: dict[str, np.ndarray] = {}
+    per_t1 = []
     n = len(eval_ds)
-    # the truncated starts, then the full chain from pure noise
-    variants = [(f"t1={t1}", t1, False) for t1 in v["t1_list"]]
-    variants.append(("noise_start", v["steps"], True))
-    for label, t1, noise_start in variants:
-        rep, dists, secs = _restore_eval(
-            ckpt.student, ckpt.meta, eval_ds, t1, v["steps"], v["seed"],
-            noise_start=noise_start)
-        rows.append(f"{label},{t1},{t1},{secs / n:.4f},{rep.psnr_mean:.4f},"
+    # the truncated starts, then the full chain t1 = K if the list lacks it
+    t1s = v["t1_list"] if K in v["t1_list"] else [*v["t1_list"], K]
+    for t1 in t1s:
+        rep, dists, secs = _restore_eval(ckpt.student, ckpt.meta, eval_ds,
+                                         t1, K, v["seed"])
+        rows.append(f"t1={t1},{t1},{t1},{secs / n:.4f},{rep.psnr_mean:.4f},"
                     f"{rep.ssim_mean:.5f},{float(np.mean(dists)):.6f}")
-        per_item[label] = dists
+        per_t1.append(dists)
     _write_csv(os.path.join(args.out, "sampling_ablation.csv"), rows)
 
-    cols = list(per_item)
-    item_rows = ["item_id," + ",".join(f"dist_{c}" for c in cols)]
+    item_rows = ["item_id," + ",".join(f"dist_t1={t1}" for t1 in t1s)]
     for i, item_id in enumerate(eval_ds.ids):
-        item_rows.append(item_id + "," + ",".join(f"{per_item[c][i]:.6f}"
-                                                  for c in cols))
+        item_rows.append(item_id + "," + ",".join(f"{d[i]:.6f}"
+                                                  for d in per_t1))
     _write_csv(os.path.join(args.out, "sampling_per_item.csv"), item_rows)
     for line in rows:
         print(line)
@@ -503,14 +498,11 @@ def cmd_ablate_sampling(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_settings(p, settings: dict, keys=None, defaults=False,
-                  **helps) -> None:
-    """A flag for each setting of ``keys`` (by default all) of the table
-    ``settings``, its help showing the default and domain.  A flag defaults
-    to None, so that a config file may set it, or with ``defaults`` to the
-    setting's default."""
-    for key in keys or settings:
-        typ, default, domain = settings[key]
+def _add_settings(p, settings: dict, defaults=False, **helps) -> None:
+    """A flag for each setting of the table ``settings``, its help showing
+    the default and domain.  A flag defaults to None, so that a config file
+    may set it, or with ``defaults`` to the setting's default."""
+    for key, (typ, default, domain) in settings.items():
         p.add_argument(f"--{key.replace('_', '-')}", type=typ,
                        default=default if defaults else None,
                        help=f"{helps.get(key, '')} (default {default}, in "
@@ -547,18 +539,15 @@ def build_parser() -> _Parser:
     r.add_argument("--in", dest="images", nargs="+", required=True,
                    metavar="IMG")
     r.add_argument("--out", required=True)
-    helps = dict(t1="truncated start step, at most --steps",
-                 steps="respaced steps, at most the checkpoint's t_steps",
-                 snapshots="dump every SNAPSHOTS-th intermediate image",
-                 batch="images restored together; trace.csv's seconds for "
-                       "an image is its chunk's time over its size")
-    _add_settings(r, _RESTORE_KEYS, ["t1", "steps"], True, **helps)
-    r.add_argument("--noise-start", action="store_true",
-                   help="start from pure noise (--t1 = --steps)")
-    _add_settings(r, _RESTORE_KEYS, ["snapshots", "seed", "batch"], True,
-                  **helps)
-    # with --noise-start, --t1 defaults to --steps
-    r.set_defaults(fn=cmd_restore, settings=_RESTORE_KEYS, t1=None)
+    _add_settings(
+        r, _RESTORE_KEYS, True,
+        t1="truncated start step, at most --steps; --t1 equal to --steps "
+           "runs the full chain",
+        steps="respaced steps, at most the checkpoint's t_steps",
+        snapshots="dump every SNAPSHOTS-th intermediate image",
+        batch="images restored together; trace.csv's seconds for an image "
+              "is its chunk's time over its size")
+    r.set_defaults(fn=cmd_restore, settings=_RESTORE_KEYS)
 
     e = sub.add_parser("eval", help="PSNR/SSIM of predictions vs references")
     e.add_argument("--pred", required=True)
@@ -573,8 +562,9 @@ def build_parser() -> _Parser:
              "progressive against direct training on --train-data",
              dict(t1="truncated start step, at most --steps")),
             ("sampling", "--ckpt", _SAMPLING_KEYS, cmd_ablate_sampling,
-             "truncated starts against the chain from noise, with --ckpt",
-             dict(t1_list="truncated starts, each at most --steps"))):
+             "truncated starts against the full chain, with --ckpt",
+             dict(t1_list="truncated starts, each at most --steps; the "
+                          "full chain t1 = --steps is always run"))):
         s = studies.add_parser(name, help=f"{about}; scores --eval-data")
         for flag in (data, "--eval-data", "--out"):
             s.add_argument(flag, required=True)

@@ -87,8 +87,7 @@ def posterior_mean(y_t: np.ndarray, eps_hat: np.ndarray, k: int,
 
 
 def restore(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
-            rng: Rng, noise_start: bool = False, snapshot_every: int = 0,
-            stream_offset: int = 0
+            rng: Rng, snapshot_every: int = 0, stream_offset: int = 0
             ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Truncated-start conditional sampling.
 
@@ -96,9 +95,9 @@ def restore(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
     of it, and ``t1`` is a step of its own grid, in [1, T].  Initializes
     ``y`` at step ``t1`` by noising the degraded input ``x`` itself (the
     coarse structure of ``x`` survives, so only ``t1`` reverse steps are
-    needed), then runs ancestral steps down to 1.  With
-    ``noise_start=True`` (allowed only when ``t1 == T``) the chain starts
-    from pure Gaussian noise instead: classic full sampling.
+    needed), then runs ancestral steps down to 1.  ``t1 == T`` is the full
+    chain: there ``x`` keeps a weight of sqrt(abar_T), so the start is
+    pure noise up to a trace of ``x``.
 
     Reverse step k -> k-1 evaluates the denoiser once, at the training
     timestep ``steps[k-1]``, and moves ``y`` to :func:`posterior_mean`; for
@@ -113,15 +112,14 @@ def restore(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
     steps.  Returns the restored batch and the snapshots: one
     ``(training timestep, batch)`` pair after the first reverse step, every
     ``snapshot_every``-th step after it and the final step, or none when
-    ``snapshot_every`` is 0.
+    ``snapshot_every`` is 0.  Raises :class:`FloatingPointError`, naming
+    the items by stream index, if the restored batch is not finite.
     """
     x = np.asarray(x)
     if x.ndim != 4:
         raise ValueError(f"restore: x must be (B, C, H, W), got {x.shape}")
     if not (1 <= t1 <= s.T):
         raise ValueError(f"restore: t1 must be in [1, {s.T}], got {t1}")
-    if noise_start and t1 != s.T:
-        raise ValueError(f"restore: noise_start requires t1 == T == {s.T}")
     if snapshot_every < 0:
         raise ValueError(f"restore: snapshot_every must be >= 0, "
                          f"got {snapshot_every}")
@@ -132,11 +130,7 @@ def restore(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
     def draw(key: int):
         return np.stack([r.stream(key).gauss(item_shape) for r in rngs])
 
-    if noise_start:
-        y = draw(0)
-    else:
-        y = q_sample(x, t1, draw(0), s)
-
+    y = q_sample(x, t1, draw(0), s)
     snapshots = []
     for k in range(t1, 0, -1):
         eps = denoise_fn(y, x, int(s.steps[k - 1]))
@@ -145,12 +139,17 @@ def restore(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
             y = y + np.sqrt(s.beta[k - 1]) * draw(k)
         if snapshot_every and (k == 1 or (t1 - k) % snapshot_every == 0):
             snapshots.append((int(s.steps[k - 1]), y.copy()))
+    bad = ~np.isfinite(y).all(axis=(1, 2, 3))
+    if bad.any():
+        raise FloatingPointError(
+            f"restore: items {(stream_offset + np.flatnonzero(bad)).tolist()}"
+            f" are not finite after {t1} reverse steps")
     return y, snapshots
 
 
 def restore_batched(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
-                    rng: Rng, noise_start: bool = False,
-                    batch_size: int = RESTORE_BATCH) -> tuple[np.ndarray, list]:
+                    rng: Rng, batch_size: int = RESTORE_BATCH
+                    ) -> tuple[np.ndarray, list]:
     """Run :func:`restore` over a large item set in memory-bounded chunks.
 
     Per-item noise streams are indexed globally, so the result for item i is
@@ -165,5 +164,5 @@ def restore_batched(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
     for lo in range(0, x.shape[0], batch_size):
         hi = min(lo + batch_size, x.shape[0])
         out[lo:hi], _ = restore(x[lo:hi], denoise_fn, s, t1, rng,
-                                noise_start=noise_start, stream_offset=lo)
+                                stream_offset=lo)
     return out, []

@@ -10,16 +10,17 @@ import types
 import numpy as np
 import pytest
 
-from turbdiff import cli, schedule, turbulence
+from turbdiff import cli, diffusion, schedule, turbulence
 from turbdiff.cli import build_parser, main
 from turbdiff.denoiser import NetSpec, init_params
-from turbdiff.diffusion import restore, restore_batched
+from turbdiff.diffusion import restore, restore_batched, to_signed, to_unit
 from turbdiff.domain import check
 from turbdiff.formats import (DataError, load_checkpoint, read_pgm,
                               save_checkpoint, write_pgm)
 from turbdiff.metrics import psnr
 from turbdiff.rng import Rng
 from turbdiff.schedule import linear_schedule
+from turbdiff.toyfaces import render, sample_spec
 from turbdiff.turbulence import degrade_item, degrade_weak
 
 
@@ -230,9 +231,9 @@ _OPTIONS = {
         ("--checkpoint-every", None, "int")],
     "restore": [
         ("--ckpt", None, None), ("--in", None, None), ("--out", None, None),
-        ("--t1", None, "int"), ("--steps", 60, "int"),
-        ("--noise-start", False, None), ("--snapshots", 0, "int"),
-        ("--seed", 0, "int"), ("--batch", 64, "int")],
+        ("--t1", 30, "int"), ("--steps", 60, "int"),
+        ("--snapshots", 0, "int"), ("--seed", 0, "int"),
+        ("--batch", 64, "int")],
     "eval": [("--pred", None, None), ("--ref", None, None),
              ("--out", None, None)],
     "ablate pt": [
@@ -435,19 +436,22 @@ def test_train_strong_from_weak_checkpoint(corpus, weak_ckpt, tmp_path):
 
 def test_ablate_sampling_writes_both_csvs(corpus, weak_ckpt, tmp_path,
                                           capsys):
-    out = tmp_path / "abl"
-    assert main(["ablate", "sampling", "--ckpt", str(weak_ckpt),
-                 "--eval-data", str(corpus), "--out", str(out),
-                 "--steps", "2", "--t1-list", "1,2"]) == 0
-    rows = (out / "sampling_ablation.csv").read_text().splitlines()
-    assert rows[0].startswith("variant,t1,nfe,")
-    assert [r.split(",")[:3] for r in rows[1:]] == \
-        [["t1=1", "1", "1"], ["t1=2", "2", "2"], ["noise_start", "2", "2"]]
-    items = (out / "sampling_per_item.csv").read_text().splitlines()
-    assert items[0] == "item_id,dist_t1=1,dist_t1=2,dist_noise_start"
-    assert len(items) == 17
-    # a malformed or out-of-range list is rejected before --out exists
-    for i, bad in enumerate(["1,x", "1,3", "0"]):
+    # the full chain t1 = K is a row whether or not the list holds K
+    for i, t1_list in enumerate(["1,2", "1"]):
+        out = tmp_path / f"abl{i}"
+        assert main(["ablate", "sampling", "--ckpt", str(weak_ckpt),
+                     "--eval-data", str(corpus), "--out", str(out),
+                     "--steps", "2", "--t1-list", t1_list]) == 0
+        rows = (out / "sampling_ablation.csv").read_text().splitlines()
+        assert rows[0].startswith("variant,t1,nfe,")
+        assert [r.split(",")[:3] for r in rows[1:]] == \
+            [["t1=1", "1", "1"], ["t1=2", "2", "2"]]
+        items = (out / "sampling_per_item.csv").read_text().splitlines()
+        assert items[0] == "item_id,dist_t1=1,dist_t1=2"
+        assert len(items) == 17
+    # a malformed, out-of-range or repeating list is rejected before --out
+    # exists
+    for i, bad in enumerate(["1,x", "1,3", "0", ",", "2,,1", "1,1"]):
         out = tmp_path / f"bad{i}"
         capsys.readouterr()
         assert main(["ablate", "sampling", "--ckpt", str(weak_ckpt),
@@ -456,6 +460,24 @@ def test_ablate_sampling_writes_both_csvs(corpus, weak_ckpt, tmp_path,
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--t1-list" in err
         assert not out.exists()
+
+
+def _nan_denoiser(monkeypatch):
+    """Make every command's denoiser predict NaN: a numeric blow-up."""
+    monkeypatch.setattr(cli, "make_denoise_fn",
+                        lambda params: lambda y, x, t: np.full_like(y, np.nan))
+
+
+def test_ablate_sampling_blow_up_exits_3_writing_no_csv(
+        corpus, weak_ckpt, tmp_path, capsys, monkeypatch):
+    _nan_denoiser(monkeypatch)
+    out = tmp_path / "abl"
+    assert main(["ablate", "sampling", "--ckpt", str(weak_ckpt),
+                 "--eval-data", str(corpus), "--out", str(out),
+                 "--steps", "2", "--t1-list", "1"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: restore: items [0, 1, ")
+    assert list(out.iterdir()) == []
 
 
 def test_ablate_pt_checkpoint_headers(corpus, tmp_path):
@@ -597,19 +619,37 @@ def test_restore_rejects_non_positive_batch(tmp_path, capsys, batch):
 _BAD_SAMPLER_FLAGS = [
     (("--t1", "0"), "--t1"), (("--t1", "-2"), "--t1"),
     (("--steps", "5", "--t1", "6"), "--t1"),
-    (("--steps", "5", "--t1", "3", "--noise-start"), "--noise-start"),
     (("--snapshots", "-1"), "--snapshots")]
 
 
 @pytest.mark.parametrize("flags,named", _BAD_SAMPLER_FLAGS,
-    ids=["t1-zero", "t1-negative", "t1-over-steps", "noise-start-t1",
-         "snapshots-negative"])
+    ids=["t1-zero", "t1-negative", "t1-over-steps", "snapshots-negative"])
 def test_restore_rejects_bad_sampler_flags(tmp_path, capsys, flags, named):
     code, out = _restore_tiny(tmp_path, *flags)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+def test_restore_takes_no_noise_start_flag(tmp_path, capsys):
+    # the full chain is --t1 equal to --steps
+    code, out = _restore_tiny(tmp_path, "--steps", "5", "--t1", "5",
+                              "--noise-start")
+    assert code == 1
+    assert "error: unrecognized arguments: --noise-start" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_restore_blow_up_exits_3_naming_the_item(tmp_path, capsys,
+                                                  monkeypatch):
+    _nan_denoiser(monkeypatch)
+    code, out = _restore_tiny(tmp_path, "--steps", "5", "--t1", "3")
+    assert code == 3
+    assert capsys.readouterr().err == ("numeric failure: restore: items [0] "
+                                       "are not finite after 3 reverse steps\n")
+    assert not (out / "x.pgm").exists()
 
 
 def test_restore_snapshots(tmp_path):
@@ -750,6 +790,25 @@ def test_restore_restores_at_the_cli_defaults(tmp_path):
              for n in names
              for clean in [read_pgm(data / "clean" / f"{n}.pgm")]]
     assert np.mean(gains) > 0.5, gains
+
+
+def test_full_chain_is_the_start_from_noise(monkeypatch):
+    # at t1 = K the start keeps x at weight sqrt(abar_K) = 0.00635, so the
+    # chain from pure noise, the same draw with q_sample patched to return
+    # the noise alone, restores nearly the same images.  Measured with the
+    # fixture at K = 10 on 4 held-out faces: max 3.1e-3, mean 4.9e-4
+    cfg = turbulence.DegradationConfig(seed=TEST_SEED)
+    base = Rng(TEST_SEED)
+    x = np.stack([
+        degrade_item(render(sample_spec(base.stream(i), seed_tag=i)), cfg,
+                     i)[1] for i in range(4)])[:, None]
+    ckpt = load_checkpoint(FIXTURE)
+    fn, sched = cli._checkpoint_sampler(ckpt.student, ckpt.meta, 10)
+    full, _ = restore(to_signed(x), fn, sched, 10, Rng(0))
+    monkeypatch.setattr(diffusion, "q_sample", lambda y0, t, eps, s: eps)
+    noise, _ = restore(to_signed(x), fn, sched, 10, Rng(0))
+    diff = np.abs(to_unit(full) - to_unit(noise))
+    assert 0 < np.mean(diff) < 1e-3 and np.max(diff) < 1e-2
 
 
 @pytest.fixture(scope="module")

@@ -194,20 +194,38 @@ def test_restore_boundaries():
         restore(x, _zero_denoiser, r, t1=0, rng=Rng(0))
     with pytest.raises(ValueError):
         restore(x, _zero_denoiser, r, t1=11, rng=Rng(0))
-    with pytest.raises(ValueError, match="noise_start"):
-        restore(x, _zero_denoiser, r, t1=5, rng=Rng(0), noise_start=True)
     calls = []
 
     def counting(y, xx, t):
         calls.append(t)
         return np.zeros_like(y)
 
-    restore(x, counting, r, t1=10, rng=Rng(0), noise_start=True)
+    # t1 = K, the full chain
+    restore(x, counting, r, t1=10, rng=Rng(0))
     assert len(calls) == 10
     for bad in (0, -3):
         with pytest.raises(ValueError, match="batch_size"):
             restore_batched(x, _zero_denoiser, r, t1=5, rng=Rng(0),
                             batch_size=bad)
+
+
+def test_restore_raises_on_a_non_finite_result_naming_the_items():
+    # a denoiser that blows up on the batch's second item only
+    def blow_up_second(y, x, t):
+        eps = np.zeros_like(y)
+        eps[1] = np.nan
+        return eps
+
+    r = respace(linear_schedule(100), 10)
+    x = Rng(19).gauss((3, 1, 4, 4))
+    with pytest.raises(FloatingPointError,
+                       match=r"restore: items \[5\] are not finite"):
+        restore(x, blow_up_second, r, t1=4, rng=Rng(0), stream_offset=4)
+    # restore_batched stops at its first chunk
+    with pytest.raises(FloatingPointError,
+                       match=r"restore: items \[0, 1\] are not finite"):
+        restore_batched(x, lambda y, xx, t: np.full_like(y, np.nan), r,
+                        t1=1, rng=Rng(0), batch_size=2)
 
 
 def test_restore_deterministic_and_batch_invariant():
