@@ -10,11 +10,11 @@ flags override file values, and unknown file keys are hard errors.
 
 Defaults and domains (valid values) have one source each.  The training
 flags and config keys of ``train`` and ``ablate pt`` are the fields of
-:class:`TrainConfig` with their types, defaults and domains (``learning_rate``
-is spelled ``lr``), and a checkpoint header is a TrainConfig too.
-``gen-data``'s degradation settings are those of :class:`DegradationConfig`,
-and the rest are in the tables below.  A command checks every setting before
-it reads data, naming it by flag (and config key).
+:class:`TrainConfig` with their names, types, defaults and domains, and a
+checkpoint header is a TrainConfig too.  ``gen-data``'s degradation settings
+are those of :class:`DegradationConfig` in the same way, and the rest are in
+the tables below.  A command checks every setting before it reads data,
+naming it by flag (and config key).
 
 Exit codes: 0 success, 1 usage error, 2 data/contract error, 3 numeric
 failure (NaN abort).
@@ -61,9 +61,6 @@ _RESTORE_KEYS = {
     "seed": (int, 0, "(-inf, inf)"),
     "batch": (int, RESTORE_BATCH, "[1, inf)"),
 }
-# field -> flag and config key, where they differ
-_KEY = {"learning_rate": "lr", "blur_sigma_range[0]": "blur_sigma_min",
-        "blur_sigma_range[1]": "blur_sigma_max"}
 
 
 class UsageError(Exception):
@@ -115,11 +112,10 @@ def _resolve(args) -> dict:
 
 
 def _label(args, name: str) -> str:
-    """How ``args``' command names setting ``name``, a key or a config
-    field: by flag, and by key too where a config file may set it."""
-    key = _KEY.get(name, name)
-    flag = "--" + key.replace("_", "-")
-    return f"{flag}/{key}" if "config" in args else flag
+    """How ``args``' command names setting ``name``: by flag, and by key too
+    where a config file may set it."""
+    flag = "--" + name.replace("_", "-")
+    return f"{flag}/{name}" if "config" in args else flag
 
 
 def _field_settings(cls) -> dict[str, tuple]:
@@ -148,15 +144,9 @@ def _write_csv(path, rows: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 _DEGRADATION = _field_settings(DegradationConfig)
-_BLUR = _DEGRADATION["blur_sigma_range"]
 _GEN_KEYS = {
     "count": (int, 4096, "[0, inf)"),
-    "seed": _DEGRADATION["seed"],
-    "elastic_sigma": _DEGRADATION["elastic_sigma"],
-    "elastic_alpha": _DEGRADATION["elastic_alpha"],
-    "blur_sigma_min": (float, _BLUR[1][0], _BLUR[2]),
-    "blur_sigma_max": (float, _BLUR[1][1], _BLUR[2]),
-    "noise_std": _DEGRADATION["noise_std"],
+    **_DEGRADATION,
     "weak_factor": (int, WEAK_FACTOR, WEAK_FACTOR_DOMAIN),
 }
 
@@ -166,10 +156,7 @@ def cmd_gen_data(args) -> int:
     if SIZE % v["weak_factor"]:
         raise SettingError(lambda n: f"{n} must divide the image size {SIZE}, "
                            f"got {v['weak_factor']}", "weak_factor")
-    cfg = DegradationConfig(
-        elastic_sigma=v["elastic_sigma"], elastic_alpha=v["elastic_alpha"],
-        blur_sigma_range=(v["blur_sigma_min"], v["blur_sigma_max"]),
-        noise_std=v["noise_std"], seed=v["seed"])
+    cfg = DegradationConfig(**{k: v[k] for k in _DEGRADATION})
     out = args.out
     for sub in ("clean", "weak", "strong"):
         os.makedirs(os.path.join(out, sub), exist_ok=True)
@@ -198,22 +185,14 @@ def cmd_gen_data(args) -> int:
 _TRAIN_FIELDS = _field_settings(TrainConfig)
 
 
-def _config_keys(*skip: str) -> dict[str, tuple]:
-    """Flag/config key -> (type, default, domain) of the TrainConfig fields
-    that have a domain, less the fields in ``skip``."""
-    return {_KEY.get(name, name): entry
-            for name, entry in _TRAIN_FIELDS.items() if name not in skip}
-
-
 def _train_config(v: dict, **fixed) -> TrainConfig:
     """TrainConfig of the resolved values ``v``; ``fixed`` sets fields
     directly and leaves their keys in ``v`` unread."""
-    return TrainConfig(**fixed, **{name: v[_KEY.get(name, name)]
-                                   for name in _TRAIN_FIELDS
+    return TrainConfig(**fixed, **{name: v[name] for name in _TRAIN_FIELDS
                                    if name not in fixed})
 
 
-_TRAIN_KEYS = {**_config_keys(), "checkpoint_every": (int, 0, "[0, inf)")}
+_TRAIN_KEYS = {**_TRAIN_FIELDS, "checkpoint_every": (int, 0, "[0, inf)")}
 
 
 def _load_dataset(flag: str, path, size: int) -> PairedDataset:
@@ -233,16 +212,20 @@ def cmd_train(args) -> int:
         raise UsageError("--stage strong requires --teacher "
                          "(checkpoint of the weak-degradation model)")
     config = _train_config(v, stage=stage)
+    for flag, path in (("--out", args.out), ("--loss-csv", args.loss_csv)):
+        if path and os.path.isdir(path):
+            raise DataError(f"{flag} {path} is a directory")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"{flag} {path}: its directory does not exist")
 
     init = teacher = None
     if args.init:
         init = load_checkpoint(args.init).student
     if args.teacher:
-        teacher_ckpt = load_checkpoint(args.teacher)
-        teacher = teacher_ckpt.student.copy(requires_grad=False)
+        teacher = load_checkpoint(args.teacher).student
         if init is None:
             # the distillation stage starts the student from the teacher
-            init = teacher_ckpt.student
+            init = teacher
     if init is not None and teacher is not None and init.spec != teacher.spec:
         raise DataError(f"--init descriptor {init.spec} does not match "
                         f"--teacher descriptor {teacher.spec}")
@@ -392,7 +375,7 @@ def _restore_eval(params: DenoiserParams, meta: TrainConfig,
 _PT_KEYS = {
     "steps_weak": _TRAIN_FIELDS["steps"],
     "steps_strong": _TRAIN_FIELDS["steps"],
-    **_config_keys("steps"),
+    **{k: entry for k, entry in _TRAIN_FIELDS.items() if k != "steps"},
     "steps": _RESTORE_KEYS["steps"],
     "t1": _RESTORE_KEYS["t1"],
 }
@@ -585,7 +568,11 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.fn(args)
+        # a blow-up is reported by the finiteness checks of restore,
+        # optimizer_step, write_pgm and save_checkpoint, with exit 3 or 2,
+        # not by numpy's warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

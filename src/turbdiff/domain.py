@@ -32,21 +32,15 @@ def check(name: str, v, domain: str) -> None:
 
 
 def setting(default, domain: str):
-    """A dataclass field with ``default`` whose values, or whose items for a
-    tuple, lie in ``domain``."""
+    """A dataclass field with ``default`` whose values lie in ``domain``."""
     return field(default=default, metadata={"domain": domain})
 
 
 def check_fields(obj) -> None:
-    """Check each field of dataclass ``obj`` that has a domain; item i of a
-    tuple field ``f`` is named ``f[i]``."""
+    """Check each field of dataclass ``obj`` that has a domain."""
     for f in fields(obj):
-        v, domain = getattr(obj, f.name), f.metadata.get("domain")
-        if domain and isinstance(v, tuple):
-            for i, x in enumerate(v):
-                check(f"{f.name}[{i}]", x, domain)
-        elif domain:
-            check(f.name, v, domain)
+        if "domain" in f.metadata:
+            check(f.name, getattr(obj, f.name), f.metadata["domain"])
 
 
 def check_order(lo_name: str, hi_name: str, lo, hi) -> None:

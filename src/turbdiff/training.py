@@ -193,9 +193,8 @@ def _batch(dataset: PairedDataset, idx: np.ndarray, which: str) -> np.ndarray:
 def train_stage(config: TrainConfig, dataset: PairedDataset,
                 init: DenoiserParams | None = None,
                 teacher_init: DenoiserParams | None = None,
-                net_spec: NetSpec | None = None,
                 checkpoint_every: int = 0, checkpoint_fn=None,
-                log_every: int = 0, log_fn=print) -> TrainState:
+                log_every: int = 0) -> TrainState:
     """Run one stage for ``config.steps`` optimization steps.
 
     ``init`` seeds the student (fresh fan-in init otherwise).  The
@@ -222,7 +221,7 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
 
     rng = Rng(config.seed)
     if init is None:
-        init = init_params(net_spec or NetSpec(), rng.stream(0))
+        init = init_params(NetSpec(), rng.stream(0))
     dtype = np.dtype(config.dtype)
     student = init.astype(dtype)
     for p in student.tensors.values():
@@ -274,8 +273,8 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
 
         state.history.append((state.step, l_t, l_s, l_total))
         if log_every and state.step % log_every == 0:
-            log_fn(f"step {state.step:6d}  loss {l_total:.5f}"
-                   + (f"  (consistency {l_s:.5f})" if stage is Stage.STRONG_DISTILL else ""))
+            print(f"step {state.step:6d}  loss {l_total:.5f}"
+                  + (f"  (consistency {l_s:.5f})" if stage is Stage.STRONG_DISTILL else ""))
         if checkpoint_every and checkpoint_fn and state.step % checkpoint_every == 0:
             checkpoint_fn(state)
 

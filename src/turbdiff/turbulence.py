@@ -44,21 +44,22 @@ class DegradationConfig:
     """Parameters of the strong degradation.
 
     ``elastic_sigma`` smooths the displacement field (pixels),
-    ``elastic_alpha`` bounds its amplitude (pixels), ``blur_sigma_range``
-    is the uniform range of the Gaussian PSF width, and ``noise_std`` is
-    additive noise in [0, 1] units.
+    ``elastic_alpha`` bounds its amplitude (pixels), the Gaussian PSF width
+    is uniform on [``blur_sigma_min``, ``blur_sigma_max``], and
+    ``noise_std`` is additive noise in [0, 1] units.
     """
 
+    seed: int = setting(0, "(-inf, inf)")
     elastic_sigma: float = setting(4.0, "[0, inf)")
     elastic_alpha: float = setting(2.0, "[0, inf)")
-    blur_sigma_range: tuple[float, float] = setting((0.5, 1.5), "[0, inf)")
+    blur_sigma_min: float = setting(0.5, "[0, inf)")
+    blur_sigma_max: float = setting(1.5, "[0, inf)")
     noise_std: float = setting(1e-4, "[0, inf)")
-    seed: int = setting(0, "(-inf, inf)")
 
     def __post_init__(self):
         check_fields(self)
-        check_order("blur_sigma_range[0]", "blur_sigma_range[1]",
-                    *self.blur_sigma_range)
+        check_order("blur_sigma_min", "blur_sigma_max", self.blur_sigma_min,
+                    self.blur_sigma_max)
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
@@ -179,8 +180,8 @@ def degrade_strong(img: np.ndarray, config: DegradationConfig,
     Stream consumption order: blur sigma, field dx, field dy, noise.
     """
     img = np.asarray(img, dtype=np.float64)
-    lo, hi = config.blur_sigma_range
-    sigma = float(rng.uniform_range(lo, hi, (1,))[0])
+    sigma = float(rng.uniform_range(config.blur_sigma_min,
+                                    config.blur_sigma_max, (1,))[0])
     out = blur(img, sigma)
     out = warp(out, make_field(img.shape, config, rng))
     if config.noise_std > 0:

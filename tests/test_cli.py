@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import types
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from turbdiff.metrics import psnr
 from turbdiff.rng import Rng
 from turbdiff.schedule import linear_schedule
 from turbdiff.toyfaces import render, sample_spec
+from turbdiff.training import TrainConfig
 from turbdiff.turbulence import degrade_item, degrade_weak
 
 
@@ -224,7 +226,7 @@ _OPTIONS = {
         ("--init", None, None), ("--teacher", None, None),
         ("--loss-csv", None, None), ("--config", None, None),
         ("--steps", None, "int"), ("--batch-size", None, "int"),
-        ("--lr", None, "float"), ("--gamma", None, "float"),
+        ("--learning-rate", None, "float"), ("--gamma", None, "float"),
         ("--gamma1", None, "float"), ("--seed", None, "int"),
         ("--t-steps", None, "int"), ("--beta-start", None, "float"),
         ("--beta-end", None, "float"), ("--dtype", None, "str"),
@@ -240,7 +242,7 @@ _OPTIONS = {
         ("--train-data", None, None), ("--eval-data", None, None),
         ("--out", None, None), ("--config", None, None),
         ("--steps-weak", None, "int"), ("--steps-strong", None, "int"),
-        ("--batch-size", None, "int"), ("--lr", None, "float"),
+        ("--batch-size", None, "int"), ("--learning-rate", None, "float"),
         ("--gamma", None, "float"), ("--gamma1", None, "float"),
         ("--seed", None, "int"), ("--t-steps", None, "int"),
         ("--beta-start", None, "float"), ("--beta-end", None, "float"),
@@ -254,7 +256,8 @@ _OPTIONS = {
 }
 
 _TRAIN_DEFAULTS = {
-    "batch_size": (int, 8), "lr": (float, 2e-4), "gamma": (float, 0.01),
+    "batch_size": (int, 8), "learning_rate": (float, 2e-4),
+    "gamma": (float, 0.01),
     "gamma1": (float, 0.9909), "seed": (int, 0), "t_steps": (int, 1000),
     "beta_start": (float, 1e-4), "beta_end": (float, 0.02),
     "dtype": (str, "float32")}
@@ -326,6 +329,21 @@ def test_library_defaults_are_the_table_defaults():
         degrade_weak(np.zeros((8, 8)), 0)
 
 
+def test_every_config_field_is_its_own_setting():
+    # a field's name is its flag and config key, in every table that sets
+    # it, with the field's type, default and domain; ablate pt's steps is
+    # the sampler's K
+    for cls, table, skip in ((turbulence.DegradationConfig, cli._GEN_KEYS, ()),
+                             (TrainConfig, cli._TRAIN_KEYS, ()),
+                             (TrainConfig, cli._PT_KEYS, ("steps",))):
+        for f in fields(cls):
+            if "domain" in f.metadata and f.name not in skip:
+                assert f.name in table, (cls.__name__, f.name)
+                typ, default, domain = table[f.name]
+                assert (typ.__name__, default, domain) == \
+                    (f.type, f.default, f.metadata["domain"]), f.name
+
+
 def _header(path) -> dict[str, str]:
     raw = path.read_bytes()
     (n,) = struct.unpack_from("<I", raw, 8)
@@ -372,31 +390,34 @@ def test_train_config_file_equals_flags(corpus, weak_ckpt, tmp_path):
 
 def test_train_flag_overrides_config_file(corpus, weak_ckpt, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("steps=1\nbatch_size=3\nseed=5\nlr=0.1\n")
+    cfg.write_text("steps=1\nbatch_size=3\nseed=5\nlearning_rate=0.1\n")
     out = tmp_path / "override.ckpt"
     assert _train_weak(corpus, out, "--config", str(cfg), "--steps", "2",
                        "--batch-size", "2", "--seed", "0",
-                       "--lr", "2e-4") == 0
+                       "--learning-rate", "2e-4") == 0
     assert out.read_bytes() == weak_ckpt.read_bytes()
 
 
 def test_train_unknown_config_key_exits_2_listing_allowed(corpus, tmp_path,
                                                           capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("steps=2\nlearning_rate=0.1\n")
+    cfg.write_text("steps=2\nlr=0.1\n")
     out = tmp_path / "x.ckpt"
     assert _train_weak(corpus, out, "--config", str(cfg)) == 2
     err = capsys.readouterr().err
-    assert "unknown config keys" in err and "learning_rate" in err
+    assert f"unknown config keys in {cfg}: lr (" in err
     assert ("(allowed: batch_size, beta_end, beta_start, checkpoint_every, "
-            "dtype, gamma, gamma1, lr, seed, steps, t_steps)") in err
+            "dtype, gamma, gamma1, learning_rate, seed, steps, "
+            "t_steps)") in err
     assert not out.exists()
 
 
 _BAD_TRAIN_FLAGS = [
     (("--checkpoint-every", "-1"), "--checkpoint-every/checkpoint_every"),
-    (("--lr", "-1"), "--lr/lr"), (("--lr", "0"), "--lr/lr"),
-    (("--lr", "nan"), "--lr/lr"), (("--gamma", "nan"), "gamma"),
+    (("--learning-rate", "-1"), "--learning-rate/learning_rate"),
+    (("--learning-rate", "0"), "--learning-rate/learning_rate"),
+    (("--learning-rate", "nan"), "--learning-rate/learning_rate"),
+    (("--gamma", "nan"), "gamma"),
     (("--gamma", "-0.5"), "gamma")]
 
 
@@ -411,6 +432,33 @@ def test_train_rejects_bad_flags_before_training(corpus, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+def test_train_takes_no_lr_flag(corpus, tmp_path, capsys):
+    # the learning rate is --learning-rate, the TrainConfig field's name
+    out = tmp_path / "x.ckpt"
+    assert _train_weak(corpus, out, "--steps", "1", "--lr", "1e-3") == 1
+    assert "error: unrecognized arguments: --lr 1e-3" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--loss-csv"])
+@pytest.mark.parametrize("bad,why", [
+    ("missing/file", ": its directory does not exist"),
+    ("dir", " is a directory")], ids=["missing-dir", "dir"])
+def test_train_checks_its_output_paths_before_training(
+        corpus, tmp_path, capsys, flag, bad, why):
+    (tmp_path / "dir").mkdir()
+    paths = {"--out": tmp_path / "w.ckpt", "--loss-csv": tmp_path / "l.csv"}
+    paths[flag] = tmp_path / bad
+    assert main(["train", "--stage", "weak", "--data", str(corpus),
+                 "--steps", "3", "--batch-size", "2",
+                 *(x for kv in paths.items() for x in map(str, kv))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} {paths[flag]}{why}\n"
+    assert "step" not in captured.out
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
 def test_train_has_no_uncond_stage(corpus, tmp_path):
@@ -501,13 +549,13 @@ def test_ablate_pt_checkpoint_headers(corpus, tmp_path):
 def test_ablate_sampling_rejects_a_training_key_in_its_config(
         corpus, weak_ckpt, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("steps=2\nlr=0.1\n")
+    cfg.write_text("steps=2\nlearning_rate=0.1\n")
     out = tmp_path / "abl"
     assert main(["ablate", "sampling", "--ckpt", str(weak_ckpt),
                  "--eval-data", str(corpus), "--out", str(out),
                  "--t1-list", "1", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "unknown config keys" in err and "lr" in err
+    assert f"unknown config keys in {cfg}: learning_rate (" in err
     assert "(allowed: seed, steps, t1_list)" in err
     assert not out.exists()
 
@@ -809,6 +857,44 @@ def test_full_chain_is_the_start_from_noise(monkeypatch):
     noise, _ = restore(to_signed(x), fn, sched, 10, Rng(0))
     diff = np.abs(to_unit(full) - to_unit(noise))
     assert 0 < np.mean(diff) < 1e-3 and np.max(diff) < 1e-2
+
+
+@pytest.fixture(scope="module")
+def blown_up_fixture(tmp_path_factory):
+    """The fixture with its kernels scaled by 1e12: every float overflows
+    within a few layers, with no patched denoiser."""
+    ckpt = load_checkpoint(FIXTURE)
+    for name, t in ckpt.student.tensors.items():
+        if name.endswith(".w"):
+            t.data = t.data * 1e12
+    path = tmp_path_factory.mktemp("cli") / "blown_up.ckpt"
+    save_checkpoint(path, ckpt.student, meta=ckpt.meta)
+    return path
+
+
+def test_a_blown_up_restore_exits_3_with_its_message_alone(
+        corpus, blown_up_fixture, tmp_path, capsys):
+    # numpy's overflow warnings are errors here, as under python -W error
+    out = tmp_path / "restored"
+    assert main(["restore", "--ckpt", str(blown_up_fixture), "--out",
+                 str(out), "--in", str(corpus / "strong" / "00000.pgm"),
+                 "--steps", "5", "--t1", "3"]) == 3
+    assert capsys.readouterr().err == ("numeric failure: restore: items [0] "
+                                       "are not finite after 3 reverse steps\n")
+    assert not (out / "00000.pgm").exists()
+
+
+def test_a_blown_up_training_step_exits_3_with_its_message_alone(
+        corpus, blown_up_fixture, tmp_path, capsys):
+    out = tmp_path / "x.ckpt"
+    assert main(["train", "--stage", "strong", "--data", str(corpus),
+                 "--out", str(out), "--init", str(blown_up_fixture),
+                 "--teacher", FIXTURE, "--steps", "1",
+                 "--batch-size", "2"]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric failure: non-finite gradient for \S+ at "
+                        r"step 0\n", err), err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

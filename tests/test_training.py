@@ -354,8 +354,9 @@ def test_train_stage_distillation_wiring():
 def test_train_stage_loss_decreases_on_tiny_problem():
     spec = tiny_spec(0)
     ds = _toy_dataset(n=8, size=spec.image_size)
-    state = train_stage(_cfg(Stage.WEAK_COND, steps=150, learning_rate=3e-3),
-                        ds, net_spec=spec)
+    cfg = _cfg(Stage.WEAK_COND, steps=150, learning_rate=3e-3)
+    state = train_stage(cfg, ds,
+                        init=init_params(spec, Rng(cfg.seed).stream(0)))
     first = np.median([row[1] for row in state.history[:20]])
     last = np.median([row[1] for row in state.history[-20:]])
     assert last < first

@@ -203,14 +203,16 @@ def test_blur_negative_sigma():
 
 def test_degrade_strong_all_zero_config_is_identity():
     cfg = DegradationConfig(elastic_sigma=0.0, elastic_alpha=0.0,
-                            blur_sigma_range=(0.0, 0.0), noise_std=0.0)
+                            blur_sigma_min=0.0, blur_sigma_max=0.0,
+                            noise_std=0.0)
     img = Rng(6).uniform((10, 10))
     assert np.array_equal(degrade_strong(img, cfg, Rng(7)), img)
 
 
 def test_degrade_strong_noise_only_std():
     cfg = DegradationConfig(elastic_sigma=0.0, elastic_alpha=0.0,
-                            blur_sigma_range=(0.0, 0.0), noise_std=0.02)
+                            blur_sigma_min=0.0, blur_sigma_max=0.0,
+                            noise_std=0.02)
     img = np.full((64, 64), 0.5)  # interior values, no clipping
     diffs = []
     for seed in range(20):
@@ -228,7 +230,8 @@ def test_degrade_strong_is_blur_then_warp_then_noise():
     got = degrade_strong(img, cfg, rng)
 
     ref_rng = Rng(99)
-    sigma = float(ref_rng.uniform_range(*cfg.blur_sigma_range, (1,))[0])
+    sigma = float(ref_rng.uniform_range(cfg.blur_sigma_min, cfg.blur_sigma_max,
+                                        (1,))[0])
     stage = blur(img, sigma)
     field = make_field(img.shape, cfg, ref_rng)
     stage = warp(stage, field)
@@ -264,18 +267,18 @@ def test_degradation_config_validation():
         DegradationConfig(elastic_sigma=-0.5)
     with pytest.raises(ValueError):
         DegradationConfig(elastic_alpha=-1.0)
-    for bad, msg in (
-            ((2.0, 1.0), "blur_sigma_range[0] must be <= blur_sigma_range[1], "
+    for (lo, hi), msg in (
+            ((2.0, 1.0), "blur_sigma_min must be <= blur_sigma_max, "
                          "got 2.0 > 1.0"),
-            ((-1.0, 1.5), "blur_sigma_range[0] must be in [0, inf), got -1.0")):
+            ((-1.0, 1.5), "blur_sigma_min must be in [0, inf), got -1.0")):
         with pytest.raises(ValueError, match=re.escape(msg)):
-            DegradationConfig(blur_sigma_range=bad)
+            DegradationConfig(blur_sigma_min=lo, blur_sigma_max=hi)
     with pytest.raises(ValueError):
         DegradationConfig(noise_std=-1e-3)
     nan, inf = float("nan"), float("inf")
     for key, bad in (("noise_std", nan), ("noise_std", inf),
                      ("elastic_sigma", nan), ("elastic_sigma", inf),
-                     ("blur_sigma_range", (0.5, inf)),
+                     ("blur_sigma_max", inf),
                      ("elastic_alpha", nan)):
         with pytest.raises(ValueError, match=key):
             DegradationConfig(**{key: bad})
