@@ -32,8 +32,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .denoiser import DenoiserParams, NetSpec, make_denoise_fn
-from .diffusion import (RESTORE_BATCH, restore, restore_batched, to_signed,
-                        to_unit)
+from .diffusion import (RESTORE_BATCH, restore_batched, restore_chunks,
+                        to_signed, to_unit)
 from .domain import SettingError, check
 from .formats import (DataError, load_checkpoint, load_dataset_dir,
                       read_config_file, read_pgm, save_checkpoint,
@@ -289,25 +289,22 @@ def cmd_restore(args) -> int:
         imgs.append(img)
     snap_dir = os.path.join(args.out, "snapshots")
     os.makedirs(snap_dir if v["snapshots"] else args.out, exist_ok=True)
-    # one restore call per --batch chunk, timed on its own; item i draws
-    # from stream i whatever the chunking
+    # each chunk is timed on its own, from the end of the last one's writes
     trace_rows = ["item_id,nfe,seconds"]
-    x = to_signed(np.stack(imgs)[:, None])
-    rng = Rng(v["seed"])
-    for lo in range(0, len(x), v["batch"]):
-        hi = min(lo + v["batch"], len(x))
-        t0 = time.perf_counter()
-        out, snapshots = restore(x[lo:hi], fn, sched, t1, rng,
-                                 snapshot_every=v["snapshots"],
-                                 stream_offset=lo)
-        per_item = (time.perf_counter() - t0) / (hi - lo)
+    chunks = restore_chunks(to_signed(np.stack(imgs)[:, None]), fn, sched,
+                            t1, Rng(v["seed"]), v["batch"], v["snapshots"])
+    t0 = time.perf_counter()
+    for lo, out, snapshots in chunks:
+        per_item = (time.perf_counter() - t0) / len(out)
+        chunk = names[lo:lo + len(out)]
         for t_orig, snap in snapshots:
-            for name, img in zip(names[lo:hi], to_unit(snap[:, 0])):
+            for name, img in zip(chunk, to_unit(snap[:, 0])):
                 write_pgm(os.path.join(snap_dir, f"{name}_t{t_orig:04d}.pgm"),
                           img)
-        for name, img in zip(names[lo:hi], to_unit(out[:, 0])):
+        for name, img in zip(chunk, to_unit(out[:, 0])):
             write_pgm(os.path.join(args.out, f"{name}.pgm"), img)
             trace_rows.append(f"{name},{t1},{per_item:.4f}")
+        t0 = time.perf_counter()
     _write_csv(os.path.join(args.out, "trace.csv"), trace_rows)
     print(f"restored {len(names)} images to {args.out} "
           f"(t1={t1}, steps={K}, nfe={t1})")
@@ -356,9 +353,9 @@ def cmd_eval(args) -> int:
 # ablate
 # ---------------------------------------------------------------------------
 
-def _restore_eval(params: DenoiserParams, meta: TrainConfig,
-                  eval_ds: PairedDataset, t1: int, steps: int, seed: int):
-    fn, sched = _checkpoint_sampler(params, meta, steps)
+def _restore_eval(sampler, eval_ds: PairedDataset, t1: int, seed: int):
+    """Score ``eval_ds`` restored from ``t1`` by a _checkpoint_sampler pair."""
+    fn, sched = sampler
     x = to_signed(eval_ds.strong)
     t0 = time.perf_counter()
     out, _ = restore_batched(x, fn, sched, t1, Rng(seed))
@@ -425,8 +422,8 @@ def cmd_ablate_pt(args) -> int:
     summary = {}
     for label, params in (("progressive", pt_state.student),
                           ("direct", direct_state.student)):
-        rep, _, _ = _restore_eval(params, base, eval_ds, v["t1"],
-                                  v["steps"], v["seed"] + 9)
+        sampler = _checkpoint_sampler(params, base, v["steps"])
+        rep, _, _ = _restore_eval(sampler, eval_ds, v["t1"], v["seed"] + 9)
         rows.append(f"{label},{total},{rep.psnr_mean:.4f},"
                     f"{rep.psnr_median:.4f},{rep.ssim_mean:.5f}")
         summary[label] = rep
@@ -457,11 +454,11 @@ def cmd_ablate_sampling(args) -> int:
     rows = ["variant,t1,nfe,seconds_per_item,psnr_mean,ssim_mean,dist_mean"]
     per_t1 = []
     n = len(eval_ds)
+    sampler = _checkpoint_sampler(ckpt.student, ckpt.meta, K)
     # the truncated starts, then the full chain t1 = K if the list lacks it
     t1s = v["t1_list"] if K in v["t1_list"] else [*v["t1_list"], K]
     for t1 in t1s:
-        rep, dists, secs = _restore_eval(ckpt.student, ckpt.meta, eval_ds,
-                                         t1, K, v["seed"])
+        rep, dists, secs = _restore_eval(sampler, eval_ds, t1, v["seed"])
         rows.append(f"t1={t1},{t1},{t1},{secs / n:.4f},{rep.psnr_mean:.4f},"
                     f"{rep.ssim_mean:.5f},{float(np.mean(dists)):.6f}")
         per_t1.append(dists)
@@ -528,8 +525,8 @@ def build_parser() -> _Parser:
            "runs the full chain",
         steps="respaced steps, at most the checkpoint's t_steps",
         snapshots="dump every SNAPSHOTS-th intermediate image",
-        batch="images restored together; trace.csv's seconds for an image "
-              "is its chunk's time over its size")
+        batch="images per chunk of diffusion.restore_chunks; trace.csv's "
+              "seconds for an image is its chunk's time over its size")
     r.set_defaults(fn=cmd_restore, settings=_RESTORE_KEYS)
 
     e = sub.add_parser("eval", help="PSNR/SSIM of predictions vs references")

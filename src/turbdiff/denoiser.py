@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .domain import check_fields, setting
 from .rng import Rng
 
 
@@ -27,16 +28,18 @@ from .rng import Rng
 class NetSpec:
     """Architecture descriptor; uniquely determines all parameter shapes."""
 
-    image_size: int = 32
+    image_size: int = setting(32, "[2, inf)")
     widths: tuple[int, int, int, int] = (32, 64, 64, 32)
-    emb_dim: int = 64
-    groups: int = 8
-    cond_channels: int = 1
-    out_channels: int = 1
+    emb_dim: int = setting(64, "[2, inf)")
+    groups: int = setting(8, "[1, inf)")
+    cond_channels: int = setting(1, "[1, inf)")
+    out_channels: int = setting(1, "[1, inf)")
 
     def __post_init__(self):
-        if self.image_size < 2 or self.image_size % 2:
-            raise ValueError(f"image_size must be even and >= 2, got {self.image_size}")
+        check_fields(self)
+        if self.image_size % 2 or self.emb_dim % 2:
+            raise ValueError(f"image_size and emb_dim must be even, got "
+                             f"{self.image_size} and {self.emb_dim}")
         if len(self.widths) != 4:
             raise ValueError(f"need 4 block widths, got {self.widths}")
         if self.widths[3] != self.widths[0]:
@@ -45,8 +48,6 @@ class NetSpec:
         for w in self.widths:
             if w % self.groups:
                 raise ValueError(f"groups={self.groups} must divide width {w}")
-        if self.emb_dim < 2 or self.emb_dim % 2:
-            raise ValueError(f"emb_dim must be even and >= 2, got {self.emb_dim}")
 
     @property
     def in_channels(self) -> int:
@@ -88,10 +89,6 @@ def param_shapes(spec: NetSpec) -> dict[str, tuple]:
     return shapes
 
 
-def n_params(spec: NetSpec) -> int:
-    return sum(int(np.prod(s)) for s in param_shapes(spec).values())
-
-
 @dataclass
 class DenoiserParams:
     """Named parameter tensors plus the descriptor that shaped them."""
@@ -99,17 +96,14 @@ class DenoiserParams:
     spec: NetSpec
     tensors: dict[str, Tensor]
 
-    def copy(self, requires_grad: bool | None = None) -> "DenoiserParams":
-        """Deep copy; optionally override gradient tracking."""
+    def astype(self, dtype, requires_grad: bool | None = None
+               ) -> "DenoiserParams":
+        """Deep copy with every tensor cast to ``dtype``; ``requires_grad``,
+        when given, replaces each tensor's gradient tracking."""
         out = {}
         for k, t in self.tensors.items():
             rg = t.requires_grad if requires_grad is None else requires_grad
-            out[k] = Tensor(t.data.copy(), requires_grad=rg)
-        return DenoiserParams(self.spec, out)
-
-    def astype(self, dtype) -> "DenoiserParams":
-        out = {k: Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
-               for k, t in self.tensors.items()}
+            out[k] = Tensor(t.data.astype(dtype), requires_grad=rg)
         return DenoiserParams(self.spec, out)
 
 
@@ -171,14 +165,11 @@ def eps_predict(params: DenoiserParams, y_t, x, t) -> Tensor:
     yt = y_t if isinstance(y_t, Tensor) else Tensor(y_t)
     xc = x if isinstance(x, Tensor) else Tensor(x)
     s = spec.image_size
-    if yt.data.ndim != 4 or yt.shape[1] != spec.out_channels or yt.shape[2:] != (s, s):
-        raise ValueError(
-            f"eps_predict: y_t shape {yt.shape} does not match descriptor "
-            f"(B, {spec.out_channels}, {s}, {s})")
-    if xc.data.ndim != 4 or xc.shape[1] != spec.cond_channels or xc.shape[2:] != (s, s):
-        raise ValueError(
-            f"eps_predict: x shape {xc.shape} does not match descriptor "
-            f"(B, {spec.cond_channels}, {s}, {s})")
+    for name, a, c in (("y_t", yt, spec.out_channels),
+                       ("x", xc, spec.cond_channels)):
+        if a.data.ndim != 4 or a.shape[1] != c or a.shape[2:] != (s, s):
+            raise ValueError(f"eps_predict: {name} shape {a.shape} does not "
+                             f"match descriptor (B, {c}, {s}, {s})")
     if xc.shape[0] != yt.shape[0]:
         raise ValueError(f"eps_predict: batch mismatch {yt.shape} vs {xc.shape}")
     t_arr = np.atleast_1d(np.asarray(t))

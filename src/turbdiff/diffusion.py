@@ -5,7 +5,8 @@ the forward process is closed-form, and sampling treats the denoiser as a
 black-box callable ``denoise_fn(y, x, t) -> eps_hat`` where ``y`` and ``x``
 are (B, C, H, W) arrays and ``t`` is the training-schedule timestep (int or
 per-item int array).  :func:`restore` is the one place a reverse step is
-written; :func:`restore_batched` runs it over memory-bounded chunks.
+written, and :func:`restore_chunks` the one loop that splits an item set
+into memory-bounded chunks for it.
 Images inside the diffusion processes live in [-1, 1]; use
 :func:`to_signed` / :func:`to_unit` at the storage boundary.
 """
@@ -147,22 +148,26 @@ def restore(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
     return y, snapshots
 
 
+def restore_chunks(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
+                   rng: Rng, batch_size: int = RESTORE_BATCH,
+                   snapshot_every: int = 0):
+    """Run :func:`restore` over ``x`` in chunks of ``batch_size`` items,
+    yielding ``(lo, restored, snapshots)`` for the chunk that starts at item
+    ``lo``.  Per-item noise streams are indexed globally, so the result for
+    item i is identical no matter how the set is chunked."""
+    if batch_size < 1:
+        raise ValueError(f"restore_chunks: batch_size must be >= 1, "
+                         f"got {batch_size}")
+    for lo in range(0, len(x), batch_size):
+        yield (lo, *restore(x[lo:lo + batch_size], denoise_fn, s, t1, rng,
+                            snapshot_every, stream_offset=lo))
+
+
 def restore_batched(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
                     rng: Rng, batch_size: int = RESTORE_BATCH
                     ) -> tuple[np.ndarray, list]:
-    """Run :func:`restore` over a large item set in memory-bounded chunks.
-
-    Per-item noise streams are indexed globally, so the result for item i is
-    identical no matter how the set is chunked.  Returns the restored set
-    and an empty snapshot list, the same pair as :func:`restore`.
-    """
-    if batch_size < 1:
-        raise ValueError(f"restore_batched: batch_size must be >= 1, "
-                         f"got {batch_size}")
-    x = np.asarray(x)
-    out = np.empty_like(x)
-    for lo in range(0, x.shape[0], batch_size):
-        hi = min(lo + batch_size, x.shape[0])
-        out[lo:hi], _ = restore(x[lo:hi], denoise_fn, s, t1, rng,
-                                stream_offset=lo)
+    """All chunks of :func:`restore_chunks`, and an empty snapshot list."""
+    out = np.empty_like(np.asarray(x))
+    for lo, y, _ in restore_chunks(x, denoise_fn, s, t1, rng, batch_size):
+        out[lo:lo + len(y)] = y
     return out, []

@@ -82,9 +82,10 @@ def read_pgm(path) -> np.ndarray:
             raise DataError(f"read_pgm: bad maxval {maxval} in {path}")
         dtype = np.dtype(">u2" if maxval > 255 else "u1")
         n = w * h * dtype.itemsize
+        # checked before reading: a header may claim terabytes
+        if n > os.fstat(f.fileno()).st_size - f.tell():
+            raise DataError(f"read_pgm: truncated pixels in {path} ({w}x{h})")
         raw = f.read(n)
-    if len(raw) != n:
-        raise DataError(f"read_pgm: truncated pixel data in {path}")
     data = np.frombuffer(raw, dtype=dtype)
     return data.reshape(h, w).astype(np.float64) / maxval
 
@@ -247,6 +248,18 @@ def load_checkpoint(path) -> Checkpoint:
 # dataset manifests
 # ---------------------------------------------------------------------------
 
+def _read_text(path) -> str:
+    """UTF-8 text of file ``path``; any other byte is a DataError."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        ln = raw.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{path} line {ln}: byte {raw[e.start]:#04x} is not "
+                        f"UTF-8 text") from None
+
+
 def write_manifest(path, rows) -> None:
     """One tab-separated line per item: id, clean, weak, strong, seed."""
     with open(path, "w", encoding="utf-8") as f:
@@ -256,16 +269,18 @@ def write_manifest(path, rows) -> None:
 
 def read_manifest(path) -> list[tuple[str, str, str, str, int]]:
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise DataError(f"manifest line {ln}: expected 5 fields, "
-                                f"got {len(parts)}")
-            rows.append((parts[0], parts[1], parts[2], parts[3], int(parts[4])))
+    for ln, line in enumerate(_read_text(path).splitlines(), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise DataError(f"{path} line {ln}: expected 5 fields, "
+                            f"got {len(parts)}")
+        try:
+            rows.append((*parts[:4], int(parts[4])))
+        except ValueError:
+            raise DataError(f"{path} line {ln}: seed {parts[4]!r} is not an "
+                            f"integer") from None
     return rows
 
 
@@ -324,8 +339,7 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
 
 def read_config_file(path, allowed_keys) -> dict[str, str]:
     """Parse a config file and reject unknown keys (all listed at once)."""
-    with open(path, encoding="utf-8") as f:
-        kv = parse_config_text(f.read(), f"config {path}")
+    kv = parse_config_text(_read_text(path), f"config {path}")
     unknown = sorted(set(kv) - set(allowed_keys))
     if unknown:
         raise DataError(

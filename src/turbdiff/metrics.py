@@ -50,12 +50,10 @@ def _ssim_window() -> np.ndarray:
 _WIN = _ssim_window()
 
 
-def _local_stats(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted local mean and mean-of-square over valid window positions."""
+def _local_mean(img: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted local mean over valid window positions."""
     win = np.lib.stride_tricks.sliding_window_view(img, (_SSIM_WIN, _SSIM_WIN))
-    mu = np.tensordot(win, _WIN, axes=([2, 3], [0, 1]))
-    m2 = np.tensordot(win * win, _WIN, axes=([2, 3], [0, 1]))
-    return mu, m2
+    return np.tensordot(win, _WIN, axes=([2, 3], [0, 1]))
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -66,13 +64,10 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     if min(a.shape) < _SSIM_WIN:
         raise ValueError(
             f"ssim: image {a.shape} smaller than {_SSIM_WIN}x{_SSIM_WIN} window")
-    mu_a, m2_a = _local_stats(a)
-    mu_b, m2_b = _local_stats(b)
-    win = np.lib.stride_tricks.sliding_window_view(a * b, (_SSIM_WIN, _SSIM_WIN))
-    m_ab = np.tensordot(win, _WIN, axes=([2, 3], [0, 1]))
-    var_a = m2_a - mu_a * mu_a
-    var_b = m2_b - mu_b * mu_b
-    cov = m_ab - mu_a * mu_b
+    mu_a, mu_b = _local_mean(a), _local_mean(b)
+    var_a = _local_mean(a * a) - mu_a * mu_a
+    var_b = _local_mean(b * b) - mu_b * mu_b
+    cov = _local_mean(a * b) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + _C1) * (2.0 * cov + _C2)
     den = (mu_a ** 2 + mu_b ** 2 + _C1) * (var_a + var_b + _C2)
     return float(np.mean(num / den))

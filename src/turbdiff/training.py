@@ -223,10 +223,8 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
     if init is None:
         init = init_params(NetSpec(), rng.stream(0))
     dtype = np.dtype(config.dtype)
-    student = init.astype(dtype)
-    for p in student.tensors.values():
-        p.requires_grad = True
-    teacher = teacher_init.astype(dtype).copy(requires_grad=False) \
+    student = init.astype(dtype, requires_grad=True)
+    teacher = teacher_init.astype(dtype, requires_grad=False) \
         if stage is Stage.STRONG_DISTILL else None
     if teacher is not None and teacher.spec != student.spec:
         raise ValueError(

@@ -461,6 +461,67 @@ def test_train_checks_its_output_paths_before_training(
     assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
+def test_train_writes_the_loss_history(corpus, weak_ckpt, tmp_path):
+    out, csv = tmp_path / "w.ckpt", tmp_path / "loss.csv"
+    assert _train_weak(corpus, out, "--steps", "2", "--batch-size", "2",
+                       "--loss-csv", str(csv)) == 0
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "step,loss_noise,loss_consistency,loss_total"
+    assert [r.split(",")[0] for r in rows[1:]] == ["1", "2"]
+    assert out.read_bytes() == weak_ckpt.read_bytes()
+
+
+def test_checkpoint_every_saves_the_run_so_far(corpus, weak_ckpt, tmp_path,
+                                               monkeypatch):
+    # in both stages, the save at step 2 of a 3-step run is the checkpoint
+    # of a 2-step run, byte for byte
+    saves = []
+
+    def recording(path, *args, **kwargs):
+        save_checkpoint(path, *args, **kwargs)
+        with open(path, "rb") as f:
+            saves.append(f.read())
+
+    monkeypatch.setattr(cli, "save_checkpoint", recording)
+    teacher = ["--teacher", str(weak_ckpt)]
+    for stage, extra in (("weak", []), ("strong", teacher)):
+        run = ["train", "--stage", stage, "--data", str(corpus),
+               "--batch-size", "2", *extra]
+        two, three = tmp_path / f"{stage}2.ckpt", tmp_path / f"{stage}3.ckpt"
+        assert main([*run, "--out", str(two), "--steps", "2"]) == 0
+        saves.clear()
+        assert main([*run, "--out", str(three), "--steps", "3",
+                     "--checkpoint-every", "2"]) == 0
+        assert saves == [two.read_bytes(), three.read_bytes()]
+        assert saves[0] != saves[1]
+
+
+def test_train_strong_without_teacher_is_a_usage_error(corpus, tmp_path,
+                                                        capsys):
+    out = tmp_path / "s.ckpt"
+    assert main(["train", "--stage", "strong", "--data", str(corpus),
+                 "--out", str(out), "--steps", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --stage strong requires --teacher (checkpoint of the "
+        "weak-degradation model)\n")
+    assert not out.exists()
+
+
+def test_train_init_and_teacher_must_share_a_descriptor(corpus, weak_ckpt,
+                                                        tmp_path, capsys):
+    small = tmp_path / "small.ckpt"
+    save_checkpoint(small, init_params(NetSpec(image_size=8, widths=(8,) * 4),
+                                       Rng(0)))
+    out = tmp_path / "s.ckpt"
+    assert main(["train", "--stage", "strong", "--data", str(corpus),
+                 "--out", str(out), "--init", str(small), "--teacher",
+                 str(weak_ckpt), "--steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --init descriptor NetSpec(image_size=8, ")
+    assert "does not match --teacher descriptor NetSpec(image_size=32, " in err
+    assert not out.exists()
+
+
 def test_train_has_no_uncond_stage(corpus, tmp_path):
     # a usage error; a checkpoint header saying stage=uncond is a data error
     # (test_formats.py)
@@ -728,7 +789,7 @@ def test_restore_trace_times_each_chunk(corpus, weak_ckpt, tmp_path,
         now[0] += cost.pop(0)
         return restore(x, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "restore", timed_restore)
+    monkeypatch.setattr(diffusion, "restore", timed_restore)
     out = tmp_path / "restored"
     assert _restore_three(corpus, weak_ckpt, out, "--batch", "2") == 0
     assert (out / "trace.csv").read_text().splitlines() == [
@@ -857,6 +918,18 @@ def test_full_chain_is_the_start_from_noise(monkeypatch):
     noise, _ = restore(to_signed(x), fn, sched, 10, Rng(0))
     diff = np.abs(to_unit(full) - to_unit(noise))
     assert 0 < np.mean(diff) < 1e-3 and np.max(diff) < 1e-2
+
+
+def test_a_pgm_claiming_more_pixels_than_it_holds_exits_2(tmp_path, capsys):
+    # 10**20 pixels: the size is checked against the file before any read
+    img = tmp_path / "huge.pgm"
+    img.write_bytes(b"P5\n99999999999999999999 1\n255\n")
+    out = tmp_path / "restored"
+    assert main(["restore", "--ckpt", FIXTURE, "--out", str(out),
+                 "--in", str(img)]) == 2
+    assert capsys.readouterr().err == (f"error: read_pgm: truncated pixels "
+                                       f"in {img} (99999999999999999999x1)\n")
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

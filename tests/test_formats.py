@@ -81,7 +81,8 @@ def test_pgm_read_errors(tmp_path):
         cut.write_bytes(raw[:n])
         with pytest.raises(DataError, match="cut.pgm"):
             read_pgm(cut)
-    for dims in (b"-3 3", b"3 -3", b"0 3", b"3 0"):
+    # the last claims 10**20 pixels: the size check comes before any read
+    for dims in (b"-3 3", b"3 -3", b"0 3", b"3 0", b"99999999999999999999 1"):
         bad.write_bytes(b"P5\n" + dims + b"\n65535\n" + bytes(18))
         with pytest.raises(DataError, match="bad.pgm"):
             read_pgm(bad)
@@ -155,7 +156,8 @@ def test_checkpoint_header_values_are_validated(tmp_path):
                      (b"seed=0", b"seed=zero"),
                      (b"t_steps=1000", b"t_steps=0"),
                      (b"beta_start=0.0001", b"beta_start=0.0"),
-                     (b"beta_end=0.02", b"beta_end=2.0")):
+                     (b"beta_end=0.02", b"beta_end=2.0"),
+                     (b"groups=2", b"groups=0")):
         h = header.replace(old, new, 1)
         assert h != header
         bad.write_bytes(raw[:8] + struct.pack("<I", len(h)) + h
@@ -222,6 +224,10 @@ def test_manifest_malformed(tmp_path):
     path.write_text("one\ttwo\n")
     with pytest.raises(DataError, match="5 fields"):
         read_manifest(path)
+    path.write_text("a\tb\tc\td\t0\na\tb\tc\td\tx\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path} line 2: seed 'x' is not an integer")):
+        read_manifest(path)
 
 
 def test_dataset_images_share_one_size(tmp_path):
@@ -266,3 +272,7 @@ def test_config_unknown_keys_are_listed(tmp_path):
     assert "bogus" in str(err.value) and "worse" in str(err.value)
     path.write_text("count=3\n")
     assert read_config_file(path, {"count", "seed"}) == {"count": "3"}
+    path.write_bytes(b"count=3\n# \xff\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path} line 2: byte 0xff is not UTF-8 text")):
+        read_config_file(path, {"count", "seed"})

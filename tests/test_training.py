@@ -83,7 +83,8 @@ def test_loss_simple_hand_computed_2x2():
 def test_loss_final_gamma_zero_reduces_to_noise_loss():
     spec = tiny_spec(1)
     student = randomized_params(spec, 1)
-    teacher = randomized_params(spec, 2).copy(requires_grad=False)
+    teacher = randomized_params(spec, 2).astype(np.float64,
+                                                requires_grad=False)
     size = spec.image_size
     rng = Rng(3)
     y0 = rng.uniform((2, 1, size, size)) * 2 - 1
@@ -100,7 +101,7 @@ def test_loss_final_gamma_zero_reduces_to_noise_loss():
 def test_loss_final_self_distillation_identity():
     spec = tiny_spec(2)
     student = randomized_params(spec, 5)
-    teacher = student.copy(requires_grad=False)
+    teacher = student.astype(np.float64, requires_grad=False)
     size = spec.image_size
     rng = Rng(4)
     y0 = rng.uniform((2, 1, size, size)) * 2 - 1
@@ -147,7 +148,8 @@ def test_loss_final_student_grads_match_finite_differences():
     # branch as a constant
     spec = tiny_spec(4)
     student = randomized_params(spec, 8)
-    teacher = randomized_params(spec, 9).copy(requires_grad=False)
+    teacher = randomized_params(spec, 9).astype(np.float64,
+                                                requires_grad=False)
     size = spec.image_size
     rng = Rng(6)
     y0 = rng.uniform((1, 1, size, size)) * 2 - 1
@@ -337,7 +339,7 @@ def test_train_stage_distillation_wiring():
     ds = _toy_dataset(size=spec.image_size)
     init = init_params(spec, Rng(1))
     weak_state = train_stage(_cfg(Stage.WEAK_COND, steps=3), ds, init=init)
-    teacher0 = weak_state.student.copy()
+    teacher0 = weak_state.student.astype(np.float64)
     state = train_stage(_cfg(Stage.STRONG_DISTILL, steps=3), ds,
                         init=weak_state.student,
                         teacher_init=weak_state.student)
@@ -393,7 +395,7 @@ def test_distillation_graph_holds_only_what_backward_reads():
     # copy of h3 (22.5)
     spec, b = NetSpec(), 8
     student = init_params(spec, Rng(1)).astype(np.float32)
-    teacher = student.copy(requires_grad=False)
+    teacher = student.astype(np.float32, requires_grad=False)
     rng = Rng(2)
     y0, x_s, x_w, eps = (rng.gauss((b, 1, 32, 32)).astype(np.float32)
                          for _ in range(4))

@@ -24,13 +24,18 @@ from turbdiff.turbulence import (DegradationConfig,
 # ---------------------------------------------------------------------------
 
 def test_importing_the_cli_loads_no_scipy():
+    # numpy alone: the top-level packages outside the standard library that
+    # importing the CLI adds are numpy and turbdiff itself.  Compared with
+    # what was loaded before, since site hooks may load packages at startup
     src = os.path.dirname(os.path.dirname(os.path.abspath(turbdiff.__file__)))
-    code = ("import sys, turbdiff.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys; before = set(sys.modules); import turbdiff.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "; added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(added - set(sys.stdlib_module_names)))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "['numpy', 'turbdiff']"]
 
 
 def _correlate_ref(a, sigma):
