@@ -36,16 +36,16 @@ from .diffusion import (RESTORE_BATCH, restore_batched, restore_chunks,
                         to_signed, to_unit)
 from .domain import SettingError, check
 from .formats import (DataError, load_checkpoint, load_dataset_dir,
-                      read_config_file, read_pgm, save_checkpoint,
+                      read_config_file, read_pgm, replace_file, save_checkpoint,
                       write_manifest, write_pgm)
 from .metrics import evaluate_pairs
-from .rng import Rng
+from .rng import Rng, Streams
 from .schedule import respace
 from .toyfaces import SIZE, render, sample_spec
 from .training import (NumericError, PairedDataset, Stage, TrainConfig,
                        history_csv_rows, train_stage)
 from .turbulence import (WEAK_FACTOR, WEAK_FACTOR_DOMAIN, DegradationConfig,
-                         degrade_item)
+                         degrade_strong, degrade_weak)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,9 +134,8 @@ def _check_sampler(key: str, t1s: list[int], K: int, T: int) -> None:
         check(key, t1, f"[1, {K}]")
 
 
-def _write_csv(path, rows: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(rows) + "\n")
+def _write_csv(path, rows) -> None:
+    replace_file(path, "".join(f"{row}\n" for row in rows).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +148,7 @@ _GEN_KEYS = {
     **_DEGRADATION,
     "weak_factor": (int, WEAK_FACTOR, WEAK_FACTOR_DOMAIN),
 }
+GEN_CHUNK = 32  # items per vectorized pass: 64 were no faster, 6 MB larger
 
 
 def cmd_gen_data(args) -> int:
@@ -160,19 +160,21 @@ def cmd_gen_data(args) -> int:
     out = args.out
     for sub in ("clean", "weak", "strong"):
         os.makedirs(os.path.join(out, sub), exist_ok=True)
-    base = Rng(v["seed"])
+    # item i's face spec and strong degradation both read stream i from word 0
+    base = Rng(cfg.seed)
     rows = []
-    for i in range(v["count"]):
-        clean = render(sample_spec(base.stream(i), seed_tag=i))
-        weak, strong = degrade_item(clean, cfg, i, v["weak_factor"])
-        item = f"{i:05d}"
-        paths = {s: os.path.join(s, f"{item}.pgm")
-                 for s in ("clean", "weak", "strong")}
-        write_pgm(os.path.join(out, paths["clean"]), clean)
-        write_pgm(os.path.join(out, paths["weak"]), weak)
-        write_pgm(os.path.join(out, paths["strong"]), strong)
-        rows.append((item, paths["clean"], paths["weak"], paths["strong"],
-                     v["seed"]))
+    for lo in range(0, v["count"], GEN_CHUNK):
+        chunk = range(lo, min(lo + GEN_CHUNK, v["count"]))
+        clean = render([sample_spec(base.stream(i), seed_tag=i) for i in chunk])
+        weak = degrade_weak(clean, v["weak_factor"])
+        strong = degrade_strong(clean, cfg, Streams(map(base.stream, chunk)))
+        for i, *imgs in zip(chunk, clean, weak, strong):
+            item = f"{i:05d}"
+            paths = [os.path.join(s, f"{item}.pgm")
+                     for s in ("clean", "weak", "strong")]
+            for path, img in zip(paths, imgs):
+                write_pgm(os.path.join(out, path), img)
+            rows.append((item, *paths, v["seed"]))
     write_manifest(os.path.join(out, "manifest.txt"), rows)
     print(f"wrote {len(rows)} item triplets to {out}")
     return EXIT_OK

@@ -4,6 +4,10 @@ manifests, and key=value config files.
 Everything here is bit-exact by construction: checkpoints round-trip
 losslessly (save -> load -> save reproduces identical bytes), and PGM
 quantization error is at most half of one 16-bit quantum per pixel.
+
+PGMs and manifests are written straight to their paths: a corpus can be
+regenerated from its seed.  A checkpoint cannot, so :func:`replace_file`
+swaps it in only once whole.
 """
 
 from __future__ import annotations
@@ -30,6 +34,23 @@ class DataError(Exception):
     """Malformed inputs or violated file/data contracts (CLI exit code 2)."""
 
 
+def replace_file(path, data: bytes) -> None:
+    """Write ``data`` to a synced temporary file beside ``path`` (a symlink
+    is followed), then rename it over ``path``: a failed write or a crash
+    leaves one whole file and no temporary.  Permissions are the default."""
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):  # the write or the rename failed
+            os.unlink(tmp)
+
+
 # ---------------------------------------------------------------------------
 # PGM images (binary P5, 16-bit big-endian, [0,1] mapped linearly)
 # ---------------------------------------------------------------------------
@@ -43,8 +64,7 @@ def write_pgm(path, img: np.ndarray) -> None:
     q = np.floor(img * PGM_MAXVAL + 0.5).astype(">u2")  # round half up
     h, w = img.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii"))
-        f.write(q.tobytes())
+        f.write(f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii") + q.tobytes())
 
 
 def _pgm_token(f, path) -> bytes:
@@ -87,6 +107,9 @@ def read_pgm(path) -> np.ndarray:
             raise DataError(f"read_pgm: truncated pixels in {path} ({w}x{h})")
         raw = f.read(n)
     data = np.frombuffer(raw, dtype=dtype)
+    if data.max() > maxval:
+        raise DataError(f"read_pgm: {path} holds a sample above its maxval "
+                        f"{maxval}")
     return data.reshape(h, w).astype(np.float64) / maxval
 
 
@@ -169,25 +192,26 @@ def save_checkpoint(path, student: DenoiserParams,
         meta = TrainConfig(stage=Stage.WEAK_COND, steps=0)
     has_opt = opt_m is not None and opt_v is not None
     order = list(param_shapes(student.spec))
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        header = _header_text(student.spec, meta, teacher is not None,
-                              has_opt).encode("utf-8")
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
+    f = io.BytesIO()  # built whole first: a failure here leaves path as it was
+    f.write(MAGIC)
+    f.write(struct.pack("<I", FORMAT_VERSION))
+    header = _header_text(student.spec, meta, teacher is not None,
+                          has_opt).encode("utf-8")
+    f.write(struct.pack("<I", len(header)))
+    f.write(header)
+    for name in order:
+        _write_tensor(f, f"student/{name}", student.tensors[name].data)
+    if teacher is not None:
+        if teacher.spec != student.spec:
+            raise DataError("checkpoint: teacher/student descriptor mismatch")
         for name in order:
-            _write_tensor(f, f"student/{name}", student.tensors[name].data)
-        if teacher is not None:
-            if teacher.spec != student.spec:
-                raise DataError("checkpoint: teacher/student descriptor mismatch")
-            for name in order:
-                _write_tensor(f, f"teacher/{name}", teacher.tensors[name].data)
-        if has_opt:
-            for name in order:
-                _write_tensor(f, f"opt_m/{name}", opt_m[name])
-            for name in order:
-                _write_tensor(f, f"opt_v/{name}", opt_v[name])
+            _write_tensor(f, f"teacher/{name}", teacher.tensors[name].data)
+    if has_opt:
+        for name in order:
+            _write_tensor(f, f"opt_m/{name}", opt_m[name])
+        for name in order:
+            _write_tensor(f, f"opt_v/{name}", opt_v[name])
+    replace_file(path, f.getvalue())
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -37,6 +37,13 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _words(base, count, n: int) -> np.ndarray:
+    """Words ``count + 1 .. count + n`` of the stream at ``base``, the mix of
+    ``base + k * golden``; (N, 1) bases and counts give (N, n) words."""
+    ks = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(count)
+    return _mix_array(np.uint64(base) + ks * np.uint64(_GOLDEN))
+
+
 def _check_shape(shape) -> tuple[int, ...]:
     if isinstance(shape, (int, np.integer)):
         shape = (int(shape),)
@@ -77,17 +84,15 @@ class Rng:
 
     def _raw(self, n: int) -> np.ndarray:
         """Next ``n`` uint64 words; advances the counter by ``n``."""
-        ks = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(self._count)
         self._count += n
-        words = np.uint64(self._base) + ks * np.uint64(_GOLDEN)
-        return _mix_array(words)
+        return _words(self._base, self._count - n, n)
 
     def uniform(self, shape) -> np.ndarray:
         """i.i.d. uniforms in [0, 1), one counter word per value."""
         shape = _check_shape(shape)
         n = math.prod(shape)
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U64_TO_UNIT
-        return u.reshape(shape)
+        return u.reshape(*u.shape[:-1], *shape)
 
     def uniform_range(self, lo: float, hi: float, shape=(1,)) -> np.ndarray:
         """i.i.d. uniforms in [lo, hi)."""
@@ -106,11 +111,11 @@ class Rng:
         n = math.prod(shape)
         m = (n + 1) // 2
         u = (self._raw(2 * m) >> np.uint64(11)).astype(np.float64) * _U64_TO_UNIT
-        u1 = 1.0 - u[:m]  # (0, 1]: keeps log finite
-        u2 = u[m:]
+        u1 = 1.0 - u[..., :m]  # (0, 1]: keeps log finite
+        theta = _TWO_PI * u[..., m:]
         r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(_TWO_PI * u2), r * np.sin(_TWO_PI * u2)])
-        return z[:n].reshape(shape)
+        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        return z[..., :n].reshape(*z.shape[:-1], *shape)
 
     def integers(self, lo: int, hi: int, shape=(1,)) -> np.ndarray:
         """i.i.d. integers in [lo, hi), one counter word per value."""
@@ -118,3 +123,20 @@ class Rng:
             raise ValueError(f"empty range [{lo}, {hi})")
         u = self.uniform(shape)
         return (lo + np.floor(u * (hi - lo))).astype(np.int64)
+
+
+class Streams:
+    """N streams drawn as one: a draw of ``shape`` is (N, *shape), row i the
+    same draw from ``rngs[i]``, which it advances as that draw would."""
+
+    uniform, uniform_range, gauss = Rng.uniform, Rng.uniform_range, Rng.gauss
+
+    def __init__(self, rngs):
+        self.rngs = list(rngs)
+
+    def _raw(self, n: int) -> np.ndarray:
+        base, count = np.array([(r._base, r._count) for r in self.rngs],
+                               dtype=np.uint64).T[..., None]
+        for r in self.rngs:
+            r._count += n
+        return _words(base, count, n)

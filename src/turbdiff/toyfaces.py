@@ -84,44 +84,38 @@ def sample_spec(rng: Rng, seed_tag: int = 0) -> FaceSpec:
     )
 
 
-def render(spec: FaceSpec, size: int = SIZE) -> np.ndarray:
-    """Rasterize a spec to (size, size) in [0, 1] with 2x supersampling."""
+def render(spec, size: int = SIZE) -> np.ndarray:
+    """Rasterize a spec to (size, size) in [0, 1] with 2x supersampling; a
+    sequence of N specs renders to (N, size, size) in one pass."""
+    specs = [spec] if isinstance(spec, FaceSpec) else spec
+    # per-spec scalars as (N, 1, 1) columns, or floats for one spec (faster
+    # to broadcast), computed as one spec's arithmetic was: Python's x ** 2
+    # is pow, numpy's is x * x; degenerate axes render as a minimal blob
+    cols = np.array([
+        (s.bg, s.skin, s.feature, s.cx, s.cy, max(s.ax, 0.5), max(s.ay, 0.5),
+         s.eye_dx, s.eye_dy, s.eye_r ** 2, s.mouth_y, s.mouth_halfw,
+         s.mouth_curve, s.mouth_thick / 2.0) for s in specs]).T
+    (bg, skin, feature, cx, cy, ax, ay, eye_dx, eye_dy, eye_r2, mouth_y,
+     halfw, curve, half_thick) = (cols[:, 0].tolist() if len(specs) == 1
+                                  else cols[..., None, None])
     ss = 2 * size
     # supersample coordinates at pixel-subcell centers
     c = (np.arange(ss) + 0.5) / 2.0 - 0.5
     ys, xs = c[:, None], c[None, :]  # broadcast to the (ss, ss) grid
 
-    ax = max(spec.ax, 0.5)  # degenerate axes render as a minimal blob
-    ay = max(spec.ay, 0.5)
-    img = np.full((ss, ss), spec.bg)
-
-    face = ((xs - spec.cx) / ax) ** 2 + ((ys - spec.cy) / ay) ** 2 <= 1.0
-    img[face] = spec.skin
-
-    for sx in (-1.0, 1.0):
-        ex = spec.cx + sx * spec.eye_dx
-        ey = spec.cy - spec.eye_dy
-        eye = (xs - ex) ** 2 + (ys - ey) ** 2 <= spec.eye_r ** 2
-        img[eye & face] = spec.feature
-
-    rel = (xs - spec.cx) / max(spec.mouth_halfw, 0.5)
-    curve_y = spec.cy + spec.mouth_y + spec.mouth_curve * rel ** 2
-    mouth = (np.abs(ys - curve_y) <= spec.mouth_thick / 2.0) \
-        & (np.abs(xs - spec.cx) <= spec.mouth_halfw)
-    img[mouth & face] = spec.feature
+    face = ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0
+    ey = cy - eye_dy
+    marks = ((xs - (cx - eye_dx)) ** 2 + (ys - ey) ** 2 <= eye_r2) \
+        | ((xs - (cx + eye_dx)) ** 2 + (ys - ey) ** 2 <= eye_r2)
+    rel = (xs - cx) / np.maximum(halfw, 0.5)
+    curve_y = cy + mouth_y + curve * rel ** 2
+    marks |= (np.abs(ys - curve_y) <= half_thick) & (np.abs(xs - cx) <= halfw)
+    img = np.where(face, np.where(marks, feature, skin), bg)
 
     # 2x2 box mean as a horizontal then a vertical pair sum: for size >= 2
     # the additions of img.reshape(size, 2, size, 2).mean(axis=(1, 3)) in
     # numpy's order, without its slow strided reduction
-    pairs = img.reshape(ss, size, 2)
-    pairs = (pairs[..., 0] + pairs[..., 1]).reshape(size, 2, size)
-    return (pairs[:, 0] + pairs[:, 1]) / 4.0
-
-
-def make_corpus(count: int, seed: int, size: int = SIZE) -> np.ndarray:
-    """(count, size, size) clean images; item i depends only on (seed, i)."""
-    base = Rng(seed)
-    out = np.empty((count, size, size))
-    for i in range(count):
-        out[i] = render(sample_spec(base.stream(i), seed_tag=i), size=size)
-    return out
+    pairs = img.reshape(-1, ss, size, 2)
+    pairs = (pairs[..., 0] + pairs[..., 1]).reshape(-1, size, 2, size)
+    out = (pairs[:, :, 0] + pairs[:, :, 1]) / 4.0
+    return out[0] if isinstance(spec, FaceSpec) else out

@@ -13,7 +13,8 @@ spatially varying point-spread function and geometric distortion.
 A deterministic weak degradation (box downsample + bicubic upsample) stands
 in for a super-resolution-style task in the progressive training recipe.
 
-Images here are 2-D (H, W) float arrays in [0, 1].
+Images here are 2-D (H, W) float arrays in [0, 1], or stacks (N, H, W) of
+them that one vectorized pass degrades as N single calls would, bit for bit.
 
 Every filter here is linear and separable, so each is an (n_out, n_in)
 matrix per axis, applied as ``M_h @ img @ M_w.T`` in numpy alone.  The
@@ -35,7 +36,7 @@ from .domain import check, check_fields, check_order, setting
 from .rng import Rng
 
 # the weak degradation's down/up-sampling factor: the default and domain of
-# gen-data's weak_factor, of degrade_weak and of degrade_item
+# gen-data's weak_factor and of degrade_weak
 WEAK_FACTOR, WEAK_FACTOR_DOMAIN = 4, "[1, inf)"
 
 
@@ -139,26 +140,29 @@ def make_field(shape: tuple[int, int], config: DegradationConfig,
 def warp(img: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Bilinear resampling at (x + dx, y + dy) with edge-clamped
     coordinates, for the (2, H, W) displacements ``field = (dx, dy)`` of
-    :func:`make_field`."""
+    :func:`make_field`; a stack (N, H, W) takes (N, 2, H, W)."""
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
-    if np.shape(field) != (2, h, w):
+    lead, (h, w) = img.shape[:-2], img.shape[-2:]
+    if np.shape(field) != (*lead, 2, h, w):
         raise ValueError(
             f"warp: field shape {np.shape(field)} != (2, *image shape "
             f"{img.shape})")
-    dx, dy = field
+    dx, dy = field[..., 0, :, :], field[..., 1, :, :]
     ys = np.arange(h, dtype=np.float64)[:, None]
     xs = np.arange(w, dtype=np.float64)[None, :]
-    xq = np.clip(xs + dx, 0.0, w - 1.0)
-    yq = np.clip(ys + dy, 0.0, h - 1.0)
-    x0 = np.floor(xq).astype(np.int64)
-    y0 = np.floor(yq).astype(np.int64)
+    fx = np.clip(xs + dx, 0.0, w - 1.0)  # the sample point, then (in place,
+    fy = np.clip(ys + dy, 0.0, h - 1.0)  # to hold fewer stacks) its fraction
+    x0 = np.floor(fx).astype(np.int64)
+    y0 = np.floor(fy).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = xq - x0
-    fy = yq - y0
-    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
-    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+    fx -= x0
+    fy -= y0
+    flat = img.ravel()  # each item's pixels at their own offset
+    off = np.arange(0, img.size, h * w).reshape(*lead, 1, 1)
+    r0, r1 = off + y0 * w, off + y1 * w
+    top = flat[r0 + x0] * (1.0 - fx) + flat[r0 + x1] * fx
+    bot = flat[r1 + x0] * (1.0 - fx) + flat[r1 + x1] * fx
     return top * (1.0 - fy) + bot * fy
 
 
@@ -177,15 +181,17 @@ def degrade_strong(img: np.ndarray, config: DegradationConfig,
                    rng: Rng) -> np.ndarray:
     """Blur, then elastic warp, then additive noise, clipped to [0, 1].
 
-    Stream consumption order: blur sigma, field dx, field dy, noise.
+    Stream consumption order: blur sigma, field dx, field dy, noise.  A
+    stack (N, H, W) takes :class:`Streams` of one stream per item.
     """
     img = np.asarray(img, dtype=np.float64)
-    sigma = float(rng.uniform_range(config.blur_sigma_min,
-                                    config.blur_sigma_max, (1,))[0])
-    out = blur(img, sigma)
-    out = warp(out, make_field(img.shape, config, rng))
+    shape = img.shape[-2:]
+    sigmas = rng.uniform_range(config.blur_sigma_min, config.blur_sigma_max)
+    out = np.stack([blur(x, sigma) for x, sigma in zip(
+        img.reshape(-1, *shape), sigmas.ravel().tolist())]).reshape(img.shape)
+    out = warp(out, make_field(shape, config, rng))
     if config.noise_std > 0:
-        out = out + config.noise_std * rng.gauss(img.shape)
+        out = out + config.noise_std * rng.gauss(shape)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -240,22 +246,14 @@ def degrade_weak(img: np.ndarray, factor: int = WEAK_FACTOR) -> np.ndarray:
     (equal to the 2-D zoom up to float rounding, ~1e-15).
     """
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
+    h, w = img.shape[-2:]
     check("factor", factor, WEAK_FACTOR_DOMAIN)
     if h % factor or w % factor:
         raise ValueError(f"degrade_weak: factor {factor} does not divide {(h, w)}")
     if factor == 1:
         return img.copy()
-    down = img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
+    down = img.reshape(*img.shape[:-2], h // factor, factor, w // factor,
+                       factor).mean(axis=(-3, -1))
     up = (_zoom_operator(h // factor, factor) @ down
           @ _zoom_operator(w // factor, factor).T)
     return np.clip(up, 0.0, 1.0)
-
-
-def degrade_item(img: np.ndarray, config: DegradationConfig, item_index: int,
-                 weak_factor: int = WEAK_FACTOR
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(weak, strong) pair for one corpus item, reproducible from
-    (config.seed, item_index) alone."""
-    rng = Rng(config.seed).stream(item_index)
-    return degrade_weak(img, weak_factor), degrade_strong(img, config, rng)

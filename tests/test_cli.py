@@ -16,14 +16,14 @@ from turbdiff.cli import build_parser, main
 from turbdiff.denoiser import NetSpec, init_params
 from turbdiff.diffusion import restore, restore_batched, to_signed, to_unit
 from turbdiff.domain import check
-from turbdiff.formats import (DataError, load_checkpoint, read_pgm,
-                              save_checkpoint, write_pgm)
+from turbdiff.formats import (DataError, load_checkpoint, read_manifest,
+                              read_pgm, save_checkpoint, write_pgm)
 from turbdiff.metrics import psnr
 from turbdiff.rng import Rng
 from turbdiff.schedule import linear_schedule
 from turbdiff.toyfaces import render, sample_spec
 from turbdiff.training import TrainConfig
-from turbdiff.turbulence import degrade_item, degrade_weak
+from turbdiff.turbulence import degrade_strong, degrade_weak
 
 
 def test_gen_data_rejects_negative_count(tmp_path, capsys):
@@ -144,6 +144,29 @@ def test_gen_data_bytes_are_golden(tmp_path):
            hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.rglob("*") if p.is_file()}
     assert got == _GEN_DATA_SHA256
+
+
+def test_gen_data_across_chunks_equals_the_per_item_reference(tmp_path):
+    # 70 items cross the first chunk boundary; the reference makes each
+    # item alone, face and strong degradation both from stream i of the seed
+    count, seed = 70, 6
+    assert cli.GEN_CHUNK < count
+    out, ref = tmp_path / "data", tmp_path / "ref"
+    assert main(["gen-data", "--out", str(out), "--count", str(count),
+                 "--seed", str(seed)]) == 0
+    cfg = turbulence.DegradationConfig(seed=seed)
+    ref.mkdir()
+    for i in range(count):
+        clean = render(sample_spec(Rng(seed).stream(i), seed_tag=i))
+        imgs = {"clean": clean, "weak": degrade_weak(clean),
+                "strong": degrade_strong(clean, cfg, Rng(seed).stream(i))}
+        for sub, img in imgs.items():
+            write_pgm(ref / "x.pgm", img)
+            got = (out / sub / f"{i:05d}.pgm").read_bytes()
+            assert got == (ref / "x.pgm").read_bytes(), (sub, i)
+    assert read_manifest(out / "manifest.txt") == [
+        (f"{i:05d}", f"clean/{i:05d}.pgm", f"weak/{i:05d}.pgm",
+         f"strong/{i:05d}.pgm", seed) for i in range(count)]
 
 
 def _record_starts(raw: bytes) -> list[int]:
@@ -318,7 +341,6 @@ def test_library_defaults_are_the_table_defaults():
     assert (schedule.T_STEPS, schedule.T_DOMAIN) == train["t_steps"][1:]
     weak = cli._GEN_KEYS["weak_factor"]
     assert param(degrade_weak, "factor") == weak[1]
-    assert param(degrade_item, "weak_factor") == weak[1]
     assert turbulence.WEAK_FACTOR_DOMAIN == weak[2]
     assert param(restore_batched, "batch_size") == cli._RESTORE_KEYS["batch"][1]
     # and their guards reject what the table's domains reject
@@ -469,6 +491,24 @@ def test_train_writes_the_loss_history(corpus, weak_ckpt, tmp_path):
     assert rows[0] == "step,loss_noise,loss_consistency,loss_total"
     assert [r.split(",")[0] for r in rows[1:]] == ["1", "2"]
     assert out.read_bytes() == weak_ckpt.read_bytes()
+
+
+def test_a_loss_csv_write_that_fails_leaves_the_old_file(
+        corpus, tmp_path, monkeypatch, capsys):
+    out, csv = tmp_path / "w.ckpt", tmp_path / "loss.csv"
+    csv.write_text("the previous run's history\n")
+    rows = cli.history_csv_rows
+
+    def failing_rows(state):  # fails halfway through the rows
+        yield from rows(state)[:2]
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "history_csv_rows", failing_rows)
+    assert _train_weak(corpus, out, "--steps", "2", "--batch-size", "2",
+                       "--loss-csv", str(csv)) == 2
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert csv.read_text() == "the previous run's history\n"
+    assert sorted(os.listdir(tmp_path)) == ["loss.csv", "w.ckpt"]
 
 
 def test_checkpoint_every_saves_the_run_so_far(corpus, weak_ckpt, tmp_path,
@@ -909,8 +949,8 @@ def test_full_chain_is_the_start_from_noise(monkeypatch):
     cfg = turbulence.DegradationConfig(seed=TEST_SEED)
     base = Rng(TEST_SEED)
     x = np.stack([
-        degrade_item(render(sample_spec(base.stream(i), seed_tag=i)), cfg,
-                     i)[1] for i in range(4)])[:, None]
+        degrade_strong(render(sample_spec(base.stream(i), seed_tag=i)), cfg,
+                       base.stream(i)) for i in range(4)])[:, None]
     ckpt = load_checkpoint(FIXTURE)
     fn, sched = cli._checkpoint_sampler(ckpt.student, ckpt.meta, 10)
     full, _ = restore(to_signed(x), fn, sched, 10, Rng(0))
@@ -929,6 +969,17 @@ def test_a_pgm_claiming_more_pixels_than_it_holds_exits_2(tmp_path, capsys):
                  "--in", str(img)]) == 2
     assert capsys.readouterr().err == (f"error: read_pgm: truncated pixels "
                                        f"in {img} (99999999999999999999x1)\n")
+    assert not out.exists()
+
+
+def test_a_pgm_sample_above_its_maxval_exits_2(tmp_path, capsys):
+    img = tmp_path / "over.pgm"
+    img.write_bytes(b"P5\n2 1\n1000\n\xff\xff\x00\x01")
+    out = tmp_path / "restored"
+    assert main(["restore", "--ckpt", FIXTURE, "--out", str(out),
+                 "--in", str(img)]) == 2
+    assert capsys.readouterr().err == (f"error: read_pgm: {img} holds a "
+                                       f"sample above its maxval 1000\n")
     assert not out.exists()
 
 

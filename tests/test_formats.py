@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from turbdiff import formats
 from turbdiff.denoiser import init_params
 from turbdiff.formats import (DataError, load_checkpoint, load_dataset_dir,
                               parse_config_text, read_config_file,
@@ -86,6 +88,24 @@ def test_pgm_read_errors(tmp_path):
         bad.write_bytes(b"P5\n" + dims + b"\n65535\n" + bytes(18))
         with pytest.raises(DataError, match="bad.pgm"):
             read_pgm(bad)
+    # a sample above the header's maxval would read as a value above 1
+    bad.write_bytes(b"P5\n2 1\n1000\n\xff\xff\x00\x01")
+    with pytest.raises(DataError, match=re.escape(
+            f"read_pgm: {bad} holds a sample above its maxval 1000")):
+        read_pgm(bad)
+
+
+@pytest.mark.parametrize("old_shape", [(32, 32), (2, 2)],
+                         ids=["over-longer", "over-shorter"])
+def test_write_pgm_over_an_existing_file_leaves_exactly_the_new_bytes(
+        tmp_path, old_shape):
+    img = Rng(3).uniform((5, 4))
+    fresh, path = tmp_path / "fresh.pgm", tmp_path / "a.pgm"
+    write_pgm(fresh, img)
+    write_pgm(path, Rng(4).uniform(old_shape))
+    write_pgm(path, img)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert len(fresh.read_bytes()) == len(b"P5\n4 5\n65535\n") + 2 * 20
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +225,43 @@ def test_checkpoint_rejects_non_finite(tmp_path):
         load_checkpoint(bad)
 
 
+def test_a_checkpoint_write_that_fails_leaves_the_old_file(tmp_path,
+                                                            monkeypatch):
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(path, init_params(tiny_spec(2), Rng(0)))
+    old = path.read_bytes()
+    calls = []
+    write_tensor = formats._write_tensor
+
+    def failing(f, name, arr):  # fails halfway through the tensors
+        calls.append(name)
+        if len(calls) == 5:
+            raise OSError("No space left on device")
+        write_tensor(f, name, arr)
+
+    monkeypatch.setattr(formats, "_write_tensor", failing)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, init_params(tiny_spec(2), Rng(1)))
+    assert len(calls) == 5
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["w.ckpt"]
+
+
+def test_replace_file_leaves_no_temporary_when_the_rename_fails(tmp_path):
+    (tmp_path / "d").mkdir()
+    with pytest.raises(OSError):
+        formats.replace_file(tmp_path / "d", b"x")
+    assert os.listdir(tmp_path) == ["d"]
+
+
+def test_replace_file_writes_through_a_symlink(tmp_path):
+    (tmp_path / "real.csv").write_bytes(b"old")
+    (tmp_path / "link.csv").symlink_to("real.csv")
+    formats.replace_file(tmp_path / "link.csv", b"new")
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "real.csv").read_bytes() == b"new"
+
+
 # ---------------------------------------------------------------------------
 # manifests and config files
 # ---------------------------------------------------------------------------
@@ -217,6 +274,16 @@ def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "manifest.txt"
     write_manifest(path, rows)
     assert read_manifest(path) == rows
+
+
+def test_write_manifest_over_a_longer_one(tmp_path):
+    rows = [(f"{i:05d}", f"clean/{i:05d}.pgm", f"weak/{i:05d}.pgm",
+             f"strong/{i:05d}.pgm", 7) for i in range(3)]
+    path = tmp_path / "manifest.txt"
+    write_manifest(path, rows)
+    write_manifest(path, rows[:1])
+    assert path.read_text() == \
+        "00000\tclean/00000.pgm\tweak/00000.pgm\tstrong/00000.pgm\t7\n"
 
 
 def test_manifest_malformed(tmp_path):

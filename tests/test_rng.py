@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from turbdiff.rng import Rng
+from turbdiff.rng import Rng, Streams
 
 
 def test_same_seed_same_sequence():
@@ -77,3 +77,35 @@ def test_shape_validation():
         Rng(0).uniform((0, 3))
     with pytest.raises(ValueError):
         Rng(0).integers(5, 5, (2,))
+
+
+def _streams_at(counts):
+    """Streams of one seed, advanced to the given counters."""
+    rngs = [Rng(8).stream(i) for i in range(len(counts))]
+    for r, c in zip(rngs, counts):
+        r._raw(c)
+    return rngs
+
+
+def test_streams_draw_words_as_each_stream_would():
+    counts = [0, 3, 1, 40, 0, 7]
+    alone, stacked = _streams_at(counts), _streams_at(counts)
+    words = Streams(stacked)._raw(9)
+    assert words.shape == (6, 9) and words.dtype == np.uint64
+    assert np.array_equal(words, np.stack([r._raw(9) for r in alone]))
+    assert [r._count for r in stacked] == [c + 9 for c in counts]
+    assert [r._count for r in stacked] == [r._count for r in alone]
+
+
+@pytest.mark.parametrize("draw", [
+    lambda r: r.uniform((3, 5)), lambda r: r.gauss((3, 5)),
+    lambda r: r.gauss((1,)), lambda r: r.uniform_range(-2.0, 0.5, (4,))],
+    ids=["uniform", "gauss-odd", "gauss-one", "uniform_range"])
+def test_streams_draws_equal_per_stream_draws(draw):
+    counts = [5, 0, 2, 11]
+    alone, stacked = _streams_at(counts), _streams_at(counts)
+    streams = Streams(stacked)
+    for _ in range(2):  # a second draw continues each stream
+        got = draw(streams)
+        assert np.array_equal(got, np.stack([draw(r) for r in alone]))
+    assert [r._count for r in stacked] == [r._count for r in alone]

@@ -1,8 +1,14 @@
 import numpy as np
 
 from turbdiff.rng import Rng
-from turbdiff.toyfaces import (_RANGES, FaceSpec, make_corpus, render,
-                               sample_spec)
+from turbdiff.toyfaces import _RANGES, FaceSpec, render, sample_spec
+
+
+def _corpus(count: int, seed: int) -> np.ndarray:
+    """(count, 32, 32) faces of one stacked render; item i depends only on
+    (seed, i)."""
+    return render([sample_spec(Rng(seed).stream(i), seed_tag=i)
+                   for i in range(count)])
 
 
 def test_fixed_seed_gives_identical_spec():
@@ -106,7 +112,7 @@ def test_render_degenerate_axes_min_size():
 
 
 def test_corpus_diversity():
-    faces = make_corpus(40, seed=5)
+    faces = _corpus(40, seed=5)
     rng = Rng(6)
     pairs = 0
     distinct = 0
@@ -122,11 +128,20 @@ def test_corpus_diversity():
 
 def test_corpus_mean_intensity_band():
     # pinned once from the default ranges; catches accidental range drift
-    faces = make_corpus(256, seed=0)
+    faces = _corpus(256, seed=0)
     assert 0.30 < float(faces.mean()) < 0.50
 
 
 def test_corpus_order_independent():
-    full = make_corpus(10, seed=9)
-    item7 = make_corpus(8, seed=9)[7]
+    full = _corpus(10, seed=9)
+    item7 = _corpus(8, seed=9)[7]
     assert np.array_equal(full[7], item7)
+
+
+def test_stacked_render_equals_per_item_calls():
+    specs = [sample_spec(Rng(12).stream(i), seed_tag=i) for i in range(300)]
+    for size in (32, 8):
+        got = render(specs, size)
+        assert got.shape == (300, size, size)
+        assert np.array_equal(got, np.stack([render(s, size) for s in specs]))
+    assert render(specs[:1]).shape == (1, 32, 32)

@@ -10,12 +10,12 @@ import pytest
 from scipy import ndimage
 
 import turbdiff
-from turbdiff.rng import Rng
-from turbdiff.toyfaces import make_corpus
+from turbdiff.rng import Rng, Streams
+from turbdiff.toyfaces import render, sample_spec
 from turbdiff.turbulence import (DegradationConfig,
                                  _cached_smoothing_matrix, _smooth,
-                                 _zoom_operator, blur, degrade_item,
-                                 degrade_strong, degrade_weak,
+                                 _zoom_operator, blur, degrade_strong,
+                                 degrade_weak,
                                  gaussian_kernel1d, make_field, warp)
 
 
@@ -66,7 +66,7 @@ def test_zoom_operator_matches_ndimage_zoom_of_unit_vectors(n, factor):
 
 
 def test_blur_sigmas_grow_no_cache():
-    img = make_corpus(1, seed=2)[0]
+    img = render(sample_spec(Rng(2).stream(0)))
     cfg = DegradationConfig(seed=0)
     degrade_strong(img, cfg, Rng(0))  # caches the elastic_sigma operator
     before = (_cached_smoothing_matrix.cache_info().currsize,
@@ -147,7 +147,7 @@ def test_warp_integer_shift_with_clamped_edge():
 
 
 def test_warp_moves_nonconstant_images():
-    img = make_corpus(1, seed=3)[0]
+    img = render(sample_spec(Rng(3).stream(0)))
     cfg = DegradationConfig(elastic_sigma=4.0, elastic_alpha=2.0)
     f = make_field(img.shape, cfg, Rng(4))
     assert np.mean(np.abs(warp(img, f) - img)) > 0.0
@@ -230,7 +230,7 @@ def test_degrade_strong_noise_only_std():
 def test_degrade_strong_is_blur_then_warp_then_noise():
     # replicate the documented stream consumption order independently
     cfg = DegradationConfig(seed=0)
-    img = make_corpus(1, seed=8)[0]
+    img = render(sample_spec(Rng(8).stream(0)))
     rng = Rng(99)
     got = degrade_strong(img, cfg, rng)
 
@@ -246,7 +246,7 @@ def test_degrade_strong_is_blur_then_warp_then_noise():
 
 def test_degrade_strong_deterministic_per_item():
     cfg = DegradationConfig(seed=5)
-    img = make_corpus(1, seed=9)[0]
+    img = render(sample_spec(Rng(9).stream(0)))
     a = degrade_strong(img, cfg, Rng(cfg.seed).stream(3))
     b = degrade_strong(img, cfg, Rng(cfg.seed).stream(3))
     assert np.array_equal(a, b)
@@ -258,7 +258,7 @@ def test_default_degradation_psnr_band():
     # pinned regression band, measured once over a fixed 64-item corpus
     from turbdiff.metrics import psnr
     cfg = DegradationConfig(seed=0)
-    faces = make_corpus(64, seed=1234)
+    faces = [render(sample_spec(Rng(1234).stream(i))) for i in range(64)]
     scores = []
     for i, face in enumerate(faces):
         out = degrade_strong(face, cfg, Rng(cfg.seed).stream(i))
@@ -342,8 +342,54 @@ def test_degrade_weak_divisibility():
 
 
 def test_degrade_item_reproducible():
+    # an item's (weak, strong) pair depends on (seed, index) alone: the
+    # same alone and at any place in any stack
     cfg = DegradationConfig(seed=21)
-    img = make_corpus(1, seed=11)[0]
-    w1, s1 = degrade_item(img, cfg, 17)
-    w2, s2 = degrade_item(img, cfg, 17)
-    assert np.array_equal(w1, w2) and np.array_equal(s1, s2)
+    img = render(sample_spec(Rng(11).stream(0)))
+    weak = degrade_weak(img)
+    strong = degrade_strong(img, cfg, Rng(cfg.seed).stream(17))
+    for ids in ([17, 3, 4], [9, 0, 17, 1, 2, 8]):
+        at = ids.index(17)
+        stack = Rng(4).uniform((len(ids), 32, 32))
+        stack[at] = img
+        got = degrade_strong(stack, cfg, Streams(map(Rng(cfg.seed).stream,
+                                                     ids)))
+        assert np.array_equal(got[at], strong)
+        assert np.array_equal(degrade_weak(stack)[at], weak)
+
+
+@pytest.fixture(scope="module")
+def faces():
+    return np.stack([render(sample_spec(Rng(13).stream(i)))
+                     for i in range(300)])
+
+
+@pytest.mark.parametrize("cfg", [
+    DegradationConfig(seed=3), DegradationConfig(seed=3, noise_std=0.0),
+    DegradationConfig(seed=3, elastic_sigma=0.0),
+    DegradationConfig(seed=3, blur_sigma_min=0.0, blur_sigma_max=0.0)],
+    ids=["defaults", "no-noise", "no-smoothing", "no-blur"])
+def test_stacked_degrade_strong_equals_per_item_calls(faces, cfg):
+    streams = [Rng(cfg.seed).stream(i) for i in range(len(faces))]
+    want = np.stack([degrade_strong(face, cfg, Rng(cfg.seed).stream(i))
+                     for i, face in enumerate(faces)])
+    assert np.array_equal(degrade_strong(faces, cfg, Streams(streams)), want)
+    # each stream is left where the item's own call leaves it
+    r = Rng(cfg.seed).stream(299)
+    degrade_strong(faces[-1], cfg, r)
+    assert streams[-1]._count == r._count
+
+
+def test_stacked_degrade_strong_on_non_square_images():
+    cfg = DegradationConfig(seed=2, noise_std=0.01)
+    imgs = Rng(5).uniform((7, 16, 24))
+    want = np.stack([degrade_strong(x, cfg, Rng(2).stream(i))
+                     for i, x in enumerate(imgs)])
+    got = degrade_strong(imgs, cfg, Streams(map(Rng(2).stream, range(7))))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4, 8, 16, 32])
+def test_stacked_degrade_weak_equals_per_item_calls(faces, factor):
+    want = np.stack([degrade_weak(face, factor) for face in faces])
+    assert np.array_equal(degrade_weak(faces, factor), want)
