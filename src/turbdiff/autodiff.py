@@ -424,13 +424,20 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
 # resolution / layout ops
 # ---------------------------------------------------------------------------
 
+def _sum2x2(x: np.ndarray) -> np.ndarray:
+    """Sums of the 2x2 blocks of (B, H, W, C), by slices: numpy's strided
+    reduction over a (B, H/2, 2, W/2, 2, C) view is several times slower."""
+    return x[:, 0::2, 0::2] + x[:, 0::2, 1::2] + x[:, 1::2, 0::2] \
+        + x[:, 1::2, 1::2]
+
+
 def avg_pool2(x: Tensor) -> Tensor:
     """2x2 mean pooling on channels-last input; spatial dims must be even."""
     _need(x, "avg_pool2")
-    bsz, h, w, c = x.shape
+    _, h, w, _ = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool2: odd spatial size {(h, w)}")
-    out = x.data.reshape(bsz, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
+    out = _sum2x2(x.data) / 4
 
     def vjp(g):
         return (np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * 0.25,)
@@ -441,13 +448,8 @@ def avg_pool2(x: Tensor) -> Tensor:
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling on channels-last input."""
     _need(x, "upsample2")
-    bsz, h, w, c = x.shape
     out = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
-
-    def vjp(g):
-        return (g.reshape(bsz, h, 2, w, 2, c).sum(axis=(2, 4)),)
-
-    return _node(out, (x,), vjp)
+    return _node(out, (x,), lambda g: (_sum2x2(g),))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

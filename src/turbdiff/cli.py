@@ -39,7 +39,7 @@ from .formats import (DataError, load_checkpoint, load_dataset_dir,
                       read_config_file, read_pgm, replace_file, save_checkpoint,
                       write_manifest, write_pgm)
 from .metrics import evaluate_pairs
-from .rng import Rng, Streams
+from .rng import Rng
 from .schedule import respace
 from .toyfaces import SIZE, render, sample_spec
 from .training import (NumericError, PairedDataset, Stage, TrainConfig,
@@ -160,6 +160,9 @@ def cmd_gen_data(args) -> int:
     out = args.out
     for sub in ("clean", "weak", "strong"):
         os.makedirs(os.path.join(out, sub), exist_ok=True)
+    manifest = os.path.join(out, "manifest.txt")
+    if os.path.lexists(manifest):  # it must not vouch for a run cut short
+        os.remove(manifest)
     # item i's face spec and strong degradation both read stream i from word 0
     base = Rng(cfg.seed)
     rows = []
@@ -167,7 +170,7 @@ def cmd_gen_data(args) -> int:
         chunk = range(lo, min(lo + GEN_CHUNK, v["count"]))
         clean = render([sample_spec(base.stream(i), seed_tag=i) for i in chunk])
         weak = degrade_weak(clean, v["weak_factor"])
-        strong = degrade_strong(clean, cfg, Streams(map(base.stream, chunk)))
+        strong = degrade_strong(clean, cfg, base.stream(chunk))
         for i, *imgs in zip(chunk, clean, weak, strong):
             item = f"{i:05d}"
             paths = [os.path.join(s, f"{item}.pgm")
@@ -175,7 +178,7 @@ def cmd_gen_data(args) -> int:
             for path, img in zip(paths, imgs):
                 write_pgm(os.path.join(out, path), img)
             rows.append((item, *paths, v["seed"]))
-    write_manifest(os.path.join(out, "manifest.txt"), rows)
+    write_manifest(manifest, rows)
     print(f"wrote {len(rows)} item triplets to {out}")
     return EXIT_OK
 

@@ -124,12 +124,10 @@ def restore(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
     if snapshot_every < 0:
         raise ValueError(f"restore: snapshot_every must be >= 0, "
                          f"got {snapshot_every}")
-    bsz = x.shape[0]
-    item_shape = x.shape[1:]
-    rngs = [rng.stream(stream_offset + i) for i in range(bsz)]
+    items = rng.stream(stream_offset + np.arange(len(x)))
 
     def draw(key: int):
-        return np.stack([r.stream(key).gauss(item_shape) for r in rngs])
+        return items.stream(key).gauss(x.shape[1:])
 
     y = q_sample(x, t1, draw(0), s)
     snapshots = []

@@ -6,8 +6,10 @@ losslessly (save -> load -> save reproduces identical bytes), and PGM
 quantization error is at most half of one 16-bit quantum per pixel.
 
 PGMs and manifests are written straight to their paths: a corpus can be
-regenerated from its seed.  A checkpoint cannot, so :func:`replace_file`
-swaps it in only once whole.
+regenerated from its seed.  ``gen-data`` removes the old manifest before
+its first image and writes the new one last, so the manifest commits the
+corpus, and one cut short has none.  A checkpoint cannot be regenerated,
+so :func:`replace_file` swaps it in only once whole.
 """
 
 from __future__ import annotations
@@ -285,10 +287,12 @@ def _read_text(path) -> str:
 
 
 def write_manifest(path, rows) -> None:
-    """One tab-separated line per item: id, clean, weak, strong, seed."""
+    """One tab-separated line per item: id, clean, weak, strong, seed,
+    written in one call."""
+    text = "".join(f"{item_id}\t{clean}\t{weak}\t{strong}\t{seed}\n"
+                   for item_id, clean, weak, strong, seed in rows)
     with open(path, "w", encoding="utf-8") as f:
-        for item_id, clean, weak, strong, seed in rows:
-            f.write(f"{item_id}\t{clean}\t{weak}\t{strong}\t{seed}\n")
+        f.write(text)
 
 
 def read_manifest(path) -> list[tuple[str, str, str, str, int]]:

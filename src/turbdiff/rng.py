@@ -4,7 +4,8 @@ Every stochastic component of the package takes an explicit :class:`Rng`, so
 the k-th value of a stream depends only on ``(seed, stream_id, k)`` — never on
 global state, draw batching, or evaluation order.  This is what makes dataset
 generation, training, and sampling exactly reproducible, and lets per-item
-work use independent sub-streams.
+work use independent sub-streams.  One :class:`Rng` can also hold N streams,
+so a batch of items draws its per-item streams in one vectorized pass.
 
 Gaussians are produced by the Box–Muller transform over the uniform stream.
 """
@@ -12,6 +13,7 @@ Gaussians are produced by the Box–Muller transform over the uniform stream.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -22,26 +24,16 @@ _TWO_PI = 2.0 * np.pi
 _U64_TO_UNIT = 2.0 ** -53
 
 
-def _mix_int(z: int) -> int:
-    """splitmix64 finalizer on a Python int (mod 2^64)."""
+def _mix(z):
+    """splitmix64 finalizer of a Python int in [0, 2^64), or in place of a
+    uint64 array, which wraps by itself (its masks change nothing)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4B5B9
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4B5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer vectorized over a uint64 array (wraps mod 2^64)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4B5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _words(base, count, n: int) -> np.ndarray:
-    """Words ``count + 1 .. count + n`` of the stream at ``base``, the mix of
-    ``base + k * golden``; (N, 1) bases and counts give (N, n) words."""
-    ks = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(count)
-    return _mix_array(np.uint64(base) + ks * np.uint64(_GOLDEN))
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK
+    return z ^ z >> 31
 
 
 def _check_shape(shape) -> tuple[int, ...]:
@@ -56,7 +48,8 @@ def _check_shape(shape) -> tuple[int, ...]:
 
 
 class Rng:
-    """Deterministic random stream identified by ``(seed, stream_id)``.
+    """Deterministic random stream identified by ``(seed, stream_id)``, or N
+    streams that share a seed and draw as one.
 
     The generator is counter-based: output k is a fixed avalanche mix of
     ``base + (k+1) * golden`` where ``base`` is derived from the seed and
@@ -64,28 +57,38 @@ class Rng:
     equal one draw of 2n values split in half.
 
     Distinct stream ids from one seed give statistically independent
-    sequences; use :meth:`stream` to derive per-item sub-streams.
+    sequences; use :meth:`stream` to derive per-item sub-streams.  N streams
+    have an (N, 1) uint64 array of ids; a draw of ``shape`` from them is
+    (N, *shape), and row i is bit for bit stream i's own draw.
     """
 
-    def __init__(self, seed: int, stream_id: int = 0):
+    def __init__(self, seed: int, stream_id=0):
         self.seed = int(seed) & _MASK
-        self.stream_id = int(stream_id) & _MASK
-        base = _mix_int(self.seed + _GOLDEN)
-        self._base = _mix_int(base ^ _mix_int(self.stream_id ^ _STREAM_SALT))
+        self.stream_id = stream_id & _MASK
+        base = _mix((self.seed + _GOLDEN) & _MASK)
+        self._base = _mix(base ^ _mix(self.stream_id ^ _STREAM_SALT))
         self._count = 0
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, stream_id={self.stream_id})"
 
-    def stream(self, index: int) -> "Rng":
-        """Derive an independent child stream for sub-task ``index``."""
-        child_id = _mix_int(self.stream_id ^ ((int(index) + 1) * _GOLDEN))
-        return Rng(self.seed, child_id)
+    def stream(self, index) -> "Rng":
+        """Derive an independent child stream for sub-task ``index``.  A
+        sequence of N indices derives N streams in one pass, and on N streams
+        an int derives child ``index`` of each."""
+        try:
+            key = (operator.index(index) + 1) * _GOLDEN & _MASK
+        except TypeError:  # N indices; int64 ones wrap as the mask does
+            key = np.asarray(index).astype(np.uint64).reshape(-1, 1)
+            key = (key + 1) * _GOLDEN
+        return Rng(self.seed, _mix(self.stream_id ^ key))
 
     def _raw(self, n: int) -> np.ndarray:
-        """Next ``n`` uint64 words; advances the counter by ``n``."""
+        """Next ``n`` uint64 words of each stream; advances the counter by
+        ``n``."""
+        ks = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        return _words(self._base, self._count - n, n)
+        return _mix(np.uint64(self._base) + ks * _GOLDEN)
 
     def uniform(self, shape) -> np.ndarray:
         """i.i.d. uniforms in [0, 1), one counter word per value."""
@@ -123,20 +126,3 @@ class Rng:
             raise ValueError(f"empty range [{lo}, {hi})")
         u = self.uniform(shape)
         return (lo + np.floor(u * (hi - lo))).astype(np.int64)
-
-
-class Streams:
-    """N streams drawn as one: a draw of ``shape`` is (N, *shape), row i the
-    same draw from ``rngs[i]``, which it advances as that draw would."""
-
-    uniform, uniform_range, gauss = Rng.uniform, Rng.uniform_range, Rng.gauss
-
-    def __init__(self, rngs):
-        self.rngs = list(rngs)
-
-    def _raw(self, n: int) -> np.ndarray:
-        base, count = np.array([(r._base, r._count) for r in self.rngs],
-                               dtype=np.uint64).T[..., None]
-        for r in self.rngs:
-            r._count += n
-        return _words(base, count, n)

@@ -182,7 +182,7 @@ def degrade_strong(img: np.ndarray, config: DegradationConfig,
     """Blur, then elastic warp, then additive noise, clipped to [0, 1].
 
     Stream consumption order: blur sigma, field dx, field dy, noise.  A
-    stack (N, H, W) takes :class:`Streams` of one stream per item.
+    stack (N, H, W) takes an N-stream :class:`Rng`, one stream per item.
     """
     img = np.asarray(img, dtype=np.float64)
     shape = img.shape[-2:]

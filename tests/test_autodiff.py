@@ -115,6 +115,25 @@ def test_pool_and_upsample_shapes_and_values():
     assert np.all(u.data[0, :2, :2, 0] == p.data[0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 32, 32, 32), (4, 16, 16, 64),
+                                   (8, 8, 8, 3), (2, 6, 4, 2), (3, 2, 2, 7),
+                                   (2, 6, 4, 1)])
+def test_2x2_sums_by_slices_equal_the_reshaped_reductions(dtype, shape):
+    # avg_pool2 and upsample2's vjp sum 2x2 blocks by slices: bit for bit
+    # the reshape-and-reduce forms they replace.  With one channel numpy
+    # reduces the contiguous blocks in another order, so there the two
+    # agree to the rounding of a 4-term sum
+    bsz, h, w, c = shape
+    x = Rng(sum(shape)).gauss(shape).astype(dtype)
+    blocks = x.reshape(bsz, h // 2, 2, w // 2, 2, c)
+    atol = 0 if c > 1 else 4 * np.finfo(dtype).eps * np.abs(x).max()
+    for got, want in [(ad.avg_pool2(Tensor(x)).data, blocks.mean(axis=(2, 4))),
+                      (ad._sum2x2(x), blocks.sum(axis=(2, 4)))]:
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
 def test_layout_transposes_roundtrip():
     x = t_(Rng(3).gauss((2, 3, 4, 5)))
     back = ad.channels_first(ad.channels_last(x))

@@ -1251,3 +1251,27 @@ def test_every_value_option_has_a_domain_shown_in_its_help():
                 check(a.dest, int(x) if a.dest == "t1_list" else x, domain)
             assert a.help.endswith(f"(default {default}, in {domain})"), \
                 a.help
+
+
+def test_an_interrupted_gen_data_leaves_no_corpus_to_train_on(
+        tmp_path, monkeypatch, capsys):
+    # a seed-2 run over a seed-1 corpus fails after 7 of its files; the
+    # seed-1 manifest must not pass the mixed files off as a corpus
+    out = tmp_path / "data"
+    gen = ["gen-data", "--out", str(out), "--count", "6", "--seed"]
+    assert main([*gen, "1"]) == 0
+    written = []
+
+    def failing_write(path, img):
+        if len(written) == 7:
+            raise OSError("No space left on device")
+        written.append(path)
+        write_pgm(path, img)
+
+    monkeypatch.setattr(cli, "write_pgm", failing_write)
+    assert main([*gen, "2"]) == 2
+    capsys.readouterr()
+    assert _train_weak(out, tmp_path / "w.ckpt", "--steps", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "manifest.txt" in err

@@ -104,7 +104,10 @@ def test_per_item_timesteps_match_single_calls():
 
 
 def test_gradient_flow_reaches_every_parameter():
-    spec = tiny_spec(5)
+    # with one channel per group, GroupNorm absorbs every per-channel shift
+    # and the biases' gradients are rounding noise of about 1e-18
+    spec = tiny_spec(6)
+    assert min(spec.widths) >= 2 * spec.groups
     params = randomized_params(spec, 5)
     y = Rng(10).gauss((2, 1, spec.image_size, spec.image_size))
     x = Rng(11).gauss((2, 1, spec.image_size, spec.image_size))
@@ -113,7 +116,7 @@ def test_gradient_flow_reaches_every_parameter():
     ad.backward(loss)
     for name, t in params.tensors.items():
         assert t.grad is not None, f"no gradient for {name}"
-        assert np.any(t.grad != 0.0), f"dead gradient path for {name}"
+        assert np.abs(t.grad).max() > 1e-6, f"dead gradient path for {name}"
 
 
 @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5),

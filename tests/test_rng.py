@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from turbdiff.rng import Rng, Streams
+from turbdiff.rng import Rng
 
 
 def test_same_seed_same_sequence():
@@ -79,33 +79,51 @@ def test_shape_validation():
         Rng(0).integers(5, 5, (2,))
 
 
-def _streams_at(counts):
-    """Streams of one seed, advanced to the given counters."""
-    rngs = [Rng(8).stream(i) for i in range(len(counts))]
-    for r, c in zip(rngs, counts):
-        r._raw(c)
-    return rngs
+IDS = [0, 3, 1, 40, 7, 2]
 
 
 def test_streams_draw_words_as_each_stream_would():
-    counts = [0, 3, 1, 40, 0, 7]
-    alone, stacked = _streams_at(counts), _streams_at(counts)
-    words = Streams(stacked)._raw(9)
+    many = Rng(8).stream(IDS)
+    words = many._raw(9)
     assert words.shape == (6, 9) and words.dtype == np.uint64
-    assert np.array_equal(words, np.stack([r._raw(9) for r in alone]))
-    assert [r._count for r in stacked] == [c + 9 for c in counts]
-    assert [r._count for r in stacked] == [r._count for r in alone]
+    assert np.array_equal(words, np.stack([Rng(8).stream(i)._raw(9)
+                                           for i in IDS]))
+    assert many._count == 9
 
 
 @pytest.mark.parametrize("draw", [
     lambda r: r.uniform((3, 5)), lambda r: r.gauss((3, 5)),
-    lambda r: r.gauss((1,)), lambda r: r.uniform_range(-2.0, 0.5, (4,))],
-    ids=["uniform", "gauss-odd", "gauss-one", "uniform_range"])
+    lambda r: r.gauss((1,)), lambda r: r.uniform_range(-2.0, 0.5, (4,)),
+    lambda r: r.integers(-3, 9, (2, 7))],
+    ids=["uniform", "gauss-odd", "gauss-one", "uniform_range", "integers"])
 def test_streams_draws_equal_per_stream_draws(draw):
-    counts = [5, 0, 2, 11]
-    alone, stacked = _streams_at(counts), _streams_at(counts)
-    streams = Streams(stacked)
-    for _ in range(2):  # a second draw continues each stream
-        got = draw(streams)
+    many, alone = Rng(8).stream(IDS), [Rng(8).stream(i) for i in IDS]
+    for _ in range(2):  # a second draw continues each row
+        got = draw(many)
         assert np.array_equal(got, np.stack([draw(r) for r in alone]))
-    assert [r._count for r in stacked] == [r._count for r in alone]
+    assert many._count == alone[0]._count
+
+
+@pytest.mark.parametrize("key", [0, 5, -1])
+def test_child_streams_of_n_streams_are_each_streams_child(key):
+    base = Rng(12)
+    got = base.stream(np.arange(4) + 30).stream(key).gauss((3, 3))
+    want = [base.stream(i).stream(key).gauss((3, 3)) for i in range(30, 34)]
+    assert np.array_equal(got, np.stack(want))
+
+
+def test_n_streams_take_negative_indices_and_ids_past_2_63():
+    # tier-1 turns numpy's overflow warnings into errors
+    for sid in (0, 2 ** 63 + 5, 2 ** 64 - 1):
+        base = Rng(3, sid)
+        for ids in ([-1, -7, 0, 2 ** 62], np.array([2 ** 63, 2 ** 64 - 1],
+                                                   dtype=np.uint64)):
+            many = base.stream(ids)
+            want = [base.stream(int(i)) for i in ids]
+            assert np.array_equal(many.stream_id.ravel(),
+                                  [r.stream_id for r in want])
+            assert np.array_equal(many.gauss((5,)),
+                                  np.stack([r.gauss((5,)) for r in want]))
+            assert np.array_equal(
+                many.stream(-2).uniform((3,)),
+                np.stack([r.stream(-2).uniform((3,)) for r in want]))

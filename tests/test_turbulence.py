@@ -10,7 +10,7 @@ import pytest
 from scipy import ndimage
 
 import turbdiff
-from turbdiff.rng import Rng, Streams
+from turbdiff.rng import Rng
 from turbdiff.toyfaces import render, sample_spec
 from turbdiff.turbulence import (DegradationConfig,
                                  _cached_smoothing_matrix, _smooth,
@@ -352,8 +352,7 @@ def test_degrade_item_reproducible():
         at = ids.index(17)
         stack = Rng(4).uniform((len(ids), 32, 32))
         stack[at] = img
-        got = degrade_strong(stack, cfg, Streams(map(Rng(cfg.seed).stream,
-                                                     ids)))
+        got = degrade_strong(stack, cfg, Rng(cfg.seed).stream(ids))
         assert np.array_equal(got[at], strong)
         assert np.array_equal(degrade_weak(stack)[at], weak)
 
@@ -370,14 +369,14 @@ def faces():
     DegradationConfig(seed=3, blur_sigma_min=0.0, blur_sigma_max=0.0)],
     ids=["defaults", "no-noise", "no-smoothing", "no-blur"])
 def test_stacked_degrade_strong_equals_per_item_calls(faces, cfg):
-    streams = [Rng(cfg.seed).stream(i) for i in range(len(faces))]
+    streams = Rng(cfg.seed).stream(range(len(faces)))
     want = np.stack([degrade_strong(face, cfg, Rng(cfg.seed).stream(i))
                      for i, face in enumerate(faces)])
-    assert np.array_equal(degrade_strong(faces, cfg, Streams(streams)), want)
-    # each stream is left where the item's own call leaves it
+    assert np.array_equal(degrade_strong(faces, cfg, streams), want)
+    # the streams are left where each item's own call leaves its stream
     r = Rng(cfg.seed).stream(299)
     degrade_strong(faces[-1], cfg, r)
-    assert streams[-1]._count == r._count
+    assert streams._count == r._count
 
 
 def test_stacked_degrade_strong_on_non_square_images():
@@ -385,7 +384,7 @@ def test_stacked_degrade_strong_on_non_square_images():
     imgs = Rng(5).uniform((7, 16, 24))
     want = np.stack([degrade_strong(x, cfg, Rng(2).stream(i))
                      for i, x in enumerate(imgs)])
-    got = degrade_strong(imgs, cfg, Streams(map(Rng(2).stream, range(7))))
+    got = degrade_strong(imgs, cfg, Rng(2).stream(range(7)))
     assert np.array_equal(got, want)
 
 
