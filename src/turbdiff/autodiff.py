@@ -254,8 +254,6 @@ def _padded_rows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     flattened to (B * Hp * Wp, C) rows."""
     b, h, wd, c = x.shape
     ph, pw = kh // 2, kw // 2
-    if not (ph or pw):
-        return np.ascontiguousarray(x).reshape(b * h * wd, c)
     xp = np.zeros((b, h + 2 * ph, wd + 2 * pw, c), dtype=x.dtype)
     xp[:, ph:ph + h, pw:pw + wd] = x
     return xp.reshape(-1, c)
@@ -280,20 +278,17 @@ def _conv_rows(x: np.ndarray, w: np.ndarray):
     n = flat.shape[0] - taps[-1][0]
     dtype = np.result_type(x, w)
     out = np.empty((flat.shape[0], co), dtype=dtype)
+    step = max(256, _BLOCK_BYTES // (co * dtype.itemsize))
+    tmp = np.empty((step, co), dtype=dtype)
     # np.dot, not np.matmul: matmul leaves BLAS for a single input channel
     # (the head's dx), which is ~7x slower
-    if len(taps) == 1:
-        np.dot(flat, w[0, 0], out=out)
-    else:
-        step = max(256, _BLOCK_BYTES // (co * dtype.itemsize))
-        tmp = np.empty((step, co), dtype=dtype)
-        for r0 in range(0, n, step):
-            r1 = min(r0 + step, n)
-            acc, t = out[r0:r1], tmp[:r1 - r0]
-            np.dot(flat[r0:r1], taps[0][1], out=acc)
-            for off, wk in taps[1:]:
-                np.dot(flat[r0 + off:r1 + off], wk, out=t)
-                acc += t
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        acc, t = out[r0:r1], tmp[:r1 - r0]
+        np.dot(flat[r0:r1], taps[0][1], out=acc)
+        for off, wk in taps[1:]:
+            np.dot(flat[r0 + off:r1 + off], wk, out=t)
+            acc += t
     return out.reshape(b, hp, wp, co)[:, :h, :wd], flat
 
 

@@ -223,15 +223,10 @@ def cmd_train(args) -> int:
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise DataError(f"{flag} {path}: its directory does not exist")
 
-    init = teacher = None
-    if args.init:
-        init = load_checkpoint(args.init).student
-    if args.teacher:
-        teacher = load_checkpoint(args.teacher).student
-        if init is None:
-            # the distillation stage starts the student from the teacher
-            init = teacher
-    if init is not None and teacher is not None and init.spec != teacher.spec:
+    teacher = load_checkpoint(args.teacher).student if args.teacher else None
+    # the distillation stage starts the student from the teacher
+    init = load_checkpoint(args.init).student if args.init else teacher
+    if teacher is not None and init.spec != teacher.spec:
         raise DataError(f"--init descriptor {init.spec} does not match "
                         f"--teacher descriptor {teacher.spec}")
     dataset = _load_dataset("--data", args.data,
@@ -483,13 +478,12 @@ def cmd_ablate_sampling(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_settings(p, settings: dict, defaults=False, **helps) -> None:
+def _add_settings(p, settings: dict, **helps) -> None:
     """A flag for each setting of the table ``settings``, its help showing
-    the default and domain.  A flag defaults to None, so that a config file
-    may set it, or with ``defaults`` to the setting's default."""
+    the default and domain.  A flag defaults to None, and :func:`_resolve`
+    applies the table's default (or a config file's value)."""
     for key, (typ, default, domain) in settings.items():
-        p.add_argument(f"--{key.replace('_', '-')}", type=typ,
-                       default=default if defaults else None,
+        p.add_argument(f"--{key.replace('_', '-')}", type=typ, default=None,
                        help=f"{helps.get(key, '')} (default {default}, in "
                             f"{domain})".lstrip())
 
@@ -525,7 +519,7 @@ def build_parser() -> _Parser:
                    metavar="IMG")
     r.add_argument("--out", required=True)
     _add_settings(
-        r, _RESTORE_KEYS, True,
+        r, _RESTORE_KEYS,
         t1="truncated start step, at most --steps; --t1 equal to --steps "
            "runs the full chain",
         steps="respaced steps, at most the checkpoint's t_steps",

@@ -156,14 +156,13 @@ def eps_predict(params: DenoiserParams, y_t, x, t) -> Tensor:
     """Predict the noise in ``y_t`` given conditioning image ``x`` and
     timestep ``t`` (int, or per-item array matching the batch).
 
-    ``y_t`` is (B, out_channels, S, S) and ``x`` is (B, cond_channels, S, S);
-    both may be Tensors or numpy arrays.  The result has ``y_t``'s shape and
-    is differentiable with respect to the parameters.
+    ``y_t`` is (B, out_channels, S, S) and ``x`` is (B, cond_channels, S, S),
+    both numpy arrays.  The result has ``y_t``'s shape and is
+    differentiable with respect to the parameters.
     """
     spec = params.spec
     p = params.tensors
-    yt = y_t if isinstance(y_t, Tensor) else Tensor(y_t)
-    xc = x if isinstance(x, Tensor) else Tensor(x)
+    yt, xc = Tensor(y_t), Tensor(x)
     s = spec.image_size
     for name, a, c in (("y_t", yt, spec.out_channels),
                        ("x", xc, spec.cond_channels)):

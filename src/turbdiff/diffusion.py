@@ -168,4 +168,5 @@ def restore_batched(x: np.ndarray, denoise_fn, s: NoiseSchedule, t1: int,
     out = np.empty_like(np.asarray(x))
     for lo, y, _ in restore_chunks(x, denoise_fn, s, t1, rng, batch_size):
         out[lo:lo + len(y)] = y
+        del y  # not held while the next chunk restores
     return out, []

@@ -33,7 +33,8 @@ def _mix(z):
     z ^= z >> 27
     z *= 0x94D049BB133111EB
     z &= _MASK
-    return z ^ z >> 31
+    z ^= z >> 31
+    return z
 
 
 def _check_shape(shape) -> tuple[int, ...]:
@@ -113,12 +114,24 @@ class Rng:
         shape = _check_shape(shape)
         n = math.prod(shape)
         m = (n + 1) // 2
-        u = (self._raw(2 * m) >> np.uint64(11)).astype(np.float64) * _U64_TO_UNIT
-        u1 = 1.0 - u[..., :m]  # (0, 1]: keeps log finite
-        theta = _TWO_PI * u[..., m:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        return z[..., :n].reshape(*z.shape[:-1], *shape)
+        # in place in the words' buffer: r over the first m, theta over the
+        # rest; a float64 view casts each word where it lies
+        w = self._raw(2 * m)
+        w >>= np.uint64(11)
+        u = w.view(np.float64)
+        np.multiply(w, _U64_TO_UNIT, out=u, casting="unsafe")
+        r, theta = u[..., :m], u[..., m:]
+        np.subtract(1.0, r, out=r)  # (0, 1]: keeps log finite
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= _TWO_PI
+        z = np.empty((*u.shape[:-1], n))
+        np.cos(theta, out=z[..., :m])
+        z[..., :m] *= r
+        np.sin(theta[..., :n - m], out=z[..., m:])
+        z[..., m:] *= r[..., :n - m]
+        return z.reshape(*z.shape[:-1], *shape)
 
     def integers(self, lo: int, hi: int, shape=(1,)) -> np.ndarray:
         """i.i.d. integers in [lo, hi), one counter word per value."""

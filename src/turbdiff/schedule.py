@@ -22,10 +22,11 @@ from .domain import check, check_order
 
 # the standard linear schedule of T = 1000 training steps: the defaults and
 # domains of the schedule settings (``training.TrainConfig``'s t_steps,
-# beta_start and beta_end) and of linear_schedule's endpoints
+# beta_start and beta_end) and of linear_schedule's endpoints.  A schedule
+# holds three float arrays of T values, so T stops at 100 times the default
 T_STEPS = 1000
 BETA_START, BETA_END = 1e-4, 0.02
-T_DOMAIN, BETA_DOMAIN = "[1, inf)", "(0, 1)"
+T_DOMAIN, BETA_DOMAIN = "[1, 100000]", "(0, 1)"
 
 
 @dataclass(frozen=True)

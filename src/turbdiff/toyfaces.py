@@ -88,16 +88,15 @@ def render(spec, size: int = SIZE) -> np.ndarray:
     """Rasterize a spec to (size, size) in [0, 1] with 2x supersampling; a
     sequence of N specs renders to (N, size, size) in one pass."""
     specs = [spec] if isinstance(spec, FaceSpec) else spec
-    # per-spec scalars as (N, 1, 1) columns, or floats for one spec (faster
-    # to broadcast), computed as one spec's arithmetic was: Python's x ** 2
-    # is pow, numpy's is x * x; degenerate axes render as a minimal blob
+    # per-spec scalars as (N, 1, 1) columns, computed as one spec's
+    # arithmetic was: Python's x ** 2 is pow, numpy's is x * x; degenerate
+    # axes render as a minimal blob
     cols = np.array([
         (s.bg, s.skin, s.feature, s.cx, s.cy, max(s.ax, 0.5), max(s.ay, 0.5),
          s.eye_dx, s.eye_dy, s.eye_r ** 2, s.mouth_y, s.mouth_halfw,
          s.mouth_curve, s.mouth_thick / 2.0) for s in specs]).T
     (bg, skin, feature, cx, cy, ax, ay, eye_dx, eye_dy, eye_r2, mouth_y,
-     halfw, curve, half_thick) = (cols[:, 0].tolist() if len(specs) == 1
-                                  else cols[..., None, None])
+     halfw, curve, half_thick) = cols[..., None, None]
     ss = 2 * size
     # supersample coordinates at pixel-subcell centers
     c = (np.arange(ss) + 0.5) / 2.0 - 0.5

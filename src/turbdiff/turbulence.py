@@ -2,9 +2,10 @@
 
 A degraded observation is built from a clean image as
 
-    degraded = warp(blur(clean, sigma), random smooth field) + noise
+    degraded = warp(G_sigma * clean, random smooth field) + noise
 
-i.e. an optical blur applied first, then a random geometric deformation,
+i.e. an optical blur (correlation with a Gaussian point-spread function
+G_sigma of random width) applied first, then a random geometric deformation,
 then additive Gaussian noise, clipped back to [0, 1].  The deformation is
 an elastic transform: per-pixel uniform displacements smoothed by a
 Gaussian kernel and scaled to a target amplitude, which jointly realizes a
@@ -47,14 +48,16 @@ class DegradationConfig:
     ``elastic_sigma`` smooths the displacement field (pixels),
     ``elastic_alpha`` bounds its amplitude (pixels), the Gaussian PSF width
     is uniform on [``blur_sigma_min``, ``blur_sigma_max``], and
-    ``noise_std`` is additive noise in [0, 1] units.
+    ``noise_std`` is additive noise in [0, 1] units.  A smoothing sigma
+    sizes its kernel (2 * ceil(3 sigma) + 1 taps) and operator, so the
+    sigmas stop at 100 pixels, three times the width of gen-data's faces.
     """
 
     seed: int = setting(0, "(-inf, inf)")
-    elastic_sigma: float = setting(4.0, "[0, inf)")
+    elastic_sigma: float = setting(4.0, "[0, 100]")
     elastic_alpha: float = setting(2.0, "[0, inf)")
-    blur_sigma_min: float = setting(0.5, "[0, inf)")
-    blur_sigma_max: float = setting(1.5, "[0, inf)")
+    blur_sigma_min: float = setting(0.5, "[0, 100]")
+    blur_sigma_max: float = setting(1.5, "[0, 100]")
     noise_std: float = setting(1e-4, "[0, inf)")
 
     def __post_init__(self):
@@ -69,7 +72,7 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
         return np.ones(1)
     radius = int(math.ceil(3.0 * sigma))
     k = np.arange(-radius, radius + 1, dtype=np.float64)
-    k *= k  # in place: blur builds a kernel for every item
+    k *= k  # in place: degrade_strong builds a kernel for every item
     k /= -2.0 * sigma * sigma
     np.exp(k, out=k)
     k /= np.add.reduce(k)
@@ -103,7 +106,7 @@ def _smoothing_matrix(n: int, sigma: float) -> np.ndarray:
 @functools.cache
 def _cached_smoothing_matrix(n: int, sigma: float) -> np.ndarray:
     """Read-only :func:`_smoothing_matrix` for ``make_field``, whose sigma
-    is the fixed ``elastic_sigma``.  ``blur`` draws a new sigma for every
+    is the fixed ``elastic_sigma``.  The blur draws a new sigma for every
     item, so it builds its matrix each call instead of growing this cache."""
     s = np.ascontiguousarray(_smoothing_matrix(n, sigma))
     s.setflags(write=False)
@@ -166,17 +169,6 @@ def warp(img: np.ndarray, field: np.ndarray) -> np.ndarray:
     return top * (1.0 - fy) + bot * fy
 
 
-def blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur (3 sigma truncation, sum-1 kernel, clamped
-    edges); sigma = 0 is the identity."""
-    if sigma < 0:
-        raise ValueError(f"blur: sigma must be >= 0, got {sigma}")
-    img = np.asarray(img, dtype=np.float64)
-    if sigma == 0:
-        return img.copy()
-    return _smooth(img, sigma)
-
-
 def degrade_strong(img: np.ndarray, config: DegradationConfig,
                    rng: Rng) -> np.ndarray:
     """Blur, then elastic warp, then additive noise, clipped to [0, 1].
@@ -187,7 +179,7 @@ def degrade_strong(img: np.ndarray, config: DegradationConfig,
     img = np.asarray(img, dtype=np.float64)
     shape = img.shape[-2:]
     sigmas = rng.uniform_range(config.blur_sigma_min, config.blur_sigma_max)
-    out = np.stack([blur(x, sigma) for x, sigma in zip(
+    out = np.stack([_smooth(x, sigma) for x, sigma in zip(
         img.reshape(-1, *shape), sigmas.ravel().tolist())]).reshape(img.shape)
     out = warp(out, make_field(shape, config, rng))
     if config.noise_std > 0:

@@ -43,13 +43,17 @@ _BAD_GEN_DATA_FLAGS = [
      "--blur-sigma-min/blur_sigma_min must be <= "
      "--blur-sigma-max/blur_sigma_max, got 2.0 > 1.0"),
     (("--blur-sigma-min", "-1"),
-     "--blur-sigma-min/blur_sigma_min must be in [0, inf), got -1.0"),
+     "--blur-sigma-min/blur_sigma_min must be in [0, 100], got -1.0"),
     (("--noise-std", "nan"), "noise_std"),
     (("--noise-std", "inf"), "noise_std"),
     (("--elastic-sigma", "nan"), "elastic_sigma"),
     (("--elastic-sigma", "inf"), "elastic_sigma"),
     (("--blur-sigma-max", "inf"), "--blur-sigma-max"),
-    (("--elastic-alpha", "nan"), "elastic_alpha")]
+    (("--elastic-alpha", "nan"), "elastic_alpha"),
+    # a sigma sizes a kernel and an operator: 10^15 asked numpy for petabytes
+    (("--elastic-sigma", "1000000000000000"), "--elastic-sigma/elastic_sigma"),
+    (("--blur-sigma-min", "1000000000000000", "--blur-sigma-max",
+      "1000000000000000"), "--blur-sigma-min/blur_sigma_min")]
 
 
 @pytest.mark.parametrize("flags,named", _BAD_GEN_DATA_FLAGS,
@@ -57,13 +61,13 @@ _BAD_GEN_DATA_FLAGS = [
          "elastic-sigma-negative", "blur-sigma-min-above-max",
          "blur-sigma-min-negative", "noise-std-nan", "noise-std-inf",
          "elastic-sigma-nan", "elastic-sigma-inf", "blur-sigma-max-inf",
-         "elastic-alpha-nan"])
+         "elastic-alpha-nan", "elastic-sigma-huge", "blur-sigma-huge"])
 def test_gen_data_rejects_bad_degradation_flags(tmp_path, capsys, flags,
                                                 named):
     out = tmp_path / "data"
     assert main(["gen-data", "--out", str(out), "--count", "2", *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -256,9 +260,9 @@ _OPTIONS = {
         ("--checkpoint-every", None, "int")],
     "restore": [
         ("--ckpt", None, None), ("--in", None, None), ("--out", None, None),
-        ("--t1", 30, "int"), ("--steps", 60, "int"),
-        ("--snapshots", 0, "int"), ("--seed", 0, "int"),
-        ("--batch", 64, "int")],
+        ("--t1", None, "int"), ("--steps", None, "int"),
+        ("--snapshots", None, "int"), ("--seed", None, "int"),
+        ("--batch", None, "int")],
     "eval": [("--pred", None, None), ("--ref", None, None),
              ("--out", None, None)],
     "ablate pt": [
@@ -285,7 +289,8 @@ _TRAIN_DEFAULTS = {
     "beta_start": (float, 1e-4), "beta_end": (float, 0.02),
     "dtype": (str, "float32")}
 
-# key -> (type, default) of the settings a flag or a config file gives
+# key -> (type, default) of each command's settings: what _resolve gives a
+# setting that no flag or config file sets
 _KEY_DEFAULTS = {
     "gen-data": {
         "count": (int, 4096), "seed": (int, 0),
@@ -294,6 +299,8 @@ _KEY_DEFAULTS = {
         "noise_std": (float, 1e-4), "weak_factor": (int, 4)},
     "train": {"steps": (int, 2500), **_TRAIN_DEFAULTS,
               "checkpoint_every": (int, 0)},
+    "restore": {"t1": (int, 30), "steps": (int, 60), "snapshots": (int, 0),
+                "seed": (int, 0), "batch": (int, 64)},
     "ablate pt": {"steps_weak": (int, 2500), "steps_strong": (int, 2500),
                   **_TRAIN_DEFAULTS, "steps": (int, 60), "t1": (int, 30)},
     "ablate sampling": {"steps": (int, 60), "t1_list": (str, "10,20,30,45,60"),
@@ -320,7 +327,8 @@ def test_parser_options_and_defaults_are_golden():
            for name, p in _commands(build_parser())}
     assert got == _OPTIONS
     tables = {"gen-data": cli._GEN_KEYS, "train": cli._TRAIN_KEYS,
-              "ablate pt": cli._PT_KEYS, "ablate sampling": cli._SAMPLING_KEYS}
+              "restore": cli._RESTORE_KEYS, "ablate pt": cli._PT_KEYS,
+              "ablate sampling": cli._SAMPLING_KEYS}
     for name, table in tables.items():
         assert [(k, entry[:2]) for k, entry in table.items()] == \
             list(_KEY_DEFAULTS[name].items()), name
@@ -440,19 +448,22 @@ _BAD_TRAIN_FLAGS = [
     (("--learning-rate", "0"), "--learning-rate/learning_rate"),
     (("--learning-rate", "nan"), "--learning-rate/learning_rate"),
     (("--gamma", "nan"), "gamma"),
-    (("--gamma", "-0.5"), "gamma")]
+    (("--gamma", "-0.5"), "gamma"),
+    # each sizes an array: 10^15 asked numpy for petabytes
+    (("--t-steps", "1000000000000000"), "--t-steps/t_steps"),
+    (("--batch-size", "1000000000000000"), "--batch-size/batch_size")]
 
 
 @pytest.mark.parametrize("flags,named", _BAD_TRAIN_FLAGS,
     ids=["checkpoint-every-negative", "lr-negative", "lr-zero", "lr-nan",
-         "gamma-nan", "gamma-negative"])
+         "gamma-nan", "gamma-negative", "t-steps-huge", "batch-size-huge"])
 def test_train_rejects_bad_flags_before_training(corpus, tmp_path, capsys,
                                                  flags, named):
     out = tmp_path / "x.ckpt"
     assert _train_weak(corpus, out, "--steps", "2", "--batch-size", "2",
                        *flags) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,24 @@ def test_restore_deterministic_and_batch_invariant():
     chunked, _ = restore_batched(x, _zero_denoiser, r, t1=6, rng=Rng(9),
                                  batch_size=2)
     assert np.array_equal(a, chunked)
+
+
+def test_restore_batched_releases_each_chunk_before_the_next():
+    # three 64-item chunks with a zero denoiser: the 1.5 MiB output and one
+    # chunk's working set peak at 3.7 MiB; the previous chunk's 0.5 MiB
+    # result, held while the next one restores, read 4.2
+    r = respace(linear_schedule(1000), 60)
+    x = Rng(1).uniform((192, 1, 32, 32)) * 2 - 1
+    restore_batched(x[:64], _zero_denoiser, r, 30, Rng(0))
+    tracemalloc.start()
+    try:
+        out, _ = restore_batched(x, _zero_denoiser, r, 30, Rng(0))
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0, peak
+    first, _ = restore(x[:64], _zero_denoiser, r, 30, Rng(0))
+    assert np.array_equal(out[:64], first)
 
 
 def test_restore_snapshots():

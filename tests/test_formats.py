@@ -175,6 +175,8 @@ def test_checkpoint_header_values_are_validated(tmp_path):
                      (b"step=0", b"step=-1"),
                      (b"seed=0", b"seed=zero"),
                      (b"t_steps=1000", b"t_steps=0"),
+                     # a schedule of 10^15 steps would ask for petabytes
+                     (b"t_steps=1000", b"t_steps=1000000000000000"),
                      (b"beta_start=0.0001", b"beta_start=0.0"),
                      (b"beta_end=0.02", b"beta_end=2.0"),
                      (b"groups=2", b"groups=0")):

@@ -23,8 +23,10 @@ from turbdiff.rng import Rng
 # bytes a mutation writes: separators, signs, digits, the comment mark, and
 # bytes that are not ASCII
 _BYTES = b"\x00\t\n\r =#,-+._0123456789eEx\x80\xff"
-# what a mutation writes in place of a number
-_NUMBERS = (b"0", b"-1", b"2", b"255", b"65536", b"999999", b"nan", b"")
+# what a mutation writes in place of a number; 10^15 in a setting that
+# sizes an array would ask numpy for petabytes
+_NUMBERS = (b"0", b"-1", b"2", b"255", b"65536", b"999999", b"nan", b"",
+            b"1000000000000000")
 _MAX_PIXELS = 1 << 16  # largest image a mutated PGM header may claim
 
 

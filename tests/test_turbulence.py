@@ -14,7 +14,7 @@ from turbdiff.rng import Rng
 from turbdiff.toyfaces import render, sample_spec
 from turbdiff.turbulence import (DegradationConfig,
                                  _cached_smoothing_matrix, _smooth,
-                                 _zoom_operator, blur, degrade_strong,
+                                 _zoom_operator, degrade_strong,
                                  degrade_weak,
                                  gaussian_kernel1d, make_field, warp)
 
@@ -73,7 +73,7 @@ def test_blur_sigmas_grow_no_cache():
               _zoom_operator.cache_info().currsize)
     for i in range(20):
         degrade_strong(img, cfg, Rng(0).stream(i))  # a new blur sigma each
-        blur(img, 0.3 + 0.1 * i)
+        _smooth(img, 0.3 + 0.1 * i)
     assert (_cached_smoothing_matrix.cache_info().currsize,
             _zoom_operator.cache_info().currsize) == before
     s = _cached_smoothing_matrix(32, cfg.elastic_sigma)
@@ -160,17 +160,17 @@ def test_warp_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# blur
+# blur: degrade_strong's first step, _smooth at the item's drawn sigma
 # ---------------------------------------------------------------------------
 
 def test_blur_zero_sigma_is_identity():
     img = Rng(5).uniform((9, 9))
-    assert np.array_equal(blur(img, 0.0), img)
+    assert np.array_equal(_smooth(img, 0.0), img)
 
 
 def test_blur_preserves_constant_images():
     img = np.full((16, 16), 0.371)
-    assert np.max(np.abs(blur(img, 1.3) - img)) < 1e-12
+    assert np.max(np.abs(_smooth(img, 1.3) - img)) < 1e-12
 
 
 def test_blur_impulse_reproduces_kernel_formula():
@@ -180,7 +180,7 @@ def test_blur_impulse_reproduces_kernel_formula():
     n = 21
     img = np.zeros((n, n))
     img[n // 2, n // 2] = 1.0
-    out = blur(img, sigma)
+    out = _smooth(img, sigma)
     r = int(math.ceil(3 * sigma))
     xs = np.arange(-r, r + 1, dtype=float)
     k = np.exp(-xs ** 2 / (2 * sigma ** 2))
@@ -193,13 +193,8 @@ def test_blur_impulse_reproduces_kernel_formula():
 
 def test_blur_mean_preservation_interior():
     img = np.full((20, 20), 0.625)
-    out = blur(img, 2.0)
+    out = _smooth(img, 2.0)
     assert abs(out.mean() - img.mean()) < 1e-10
-
-
-def test_blur_negative_sigma():
-    with pytest.raises(ValueError):
-        blur(np.zeros((4, 4)), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,7 @@ def test_degrade_strong_is_blur_then_warp_then_noise():
     ref_rng = Rng(99)
     sigma = float(ref_rng.uniform_range(cfg.blur_sigma_min, cfg.blur_sigma_max,
                                         (1,))[0])
-    stage = blur(img, sigma)
+    stage = _smooth(img, sigma)
     field = make_field(img.shape, cfg, ref_rng)
     stage = warp(stage, field)
     stage = stage + cfg.noise_std * ref_rng.gauss(img.shape)
@@ -275,7 +270,7 @@ def test_degradation_config_validation():
     for (lo, hi), msg in (
             ((2.0, 1.0), "blur_sigma_min must be <= blur_sigma_max, "
                          "got 2.0 > 1.0"),
-            ((-1.0, 1.5), "blur_sigma_min must be in [0, inf), got -1.0")):
+            ((-1.0, 1.5), "blur_sigma_min must be in [0, 100], got -1.0")):
         with pytest.raises(ValueError, match=re.escape(msg)):
             DegradationConfig(blur_sigma_min=lo, blur_sigma_max=hi)
     with pytest.raises(ValueError):
