@@ -289,8 +289,9 @@ def cmd_restore(args) -> int:
         imgs.append(img)
     snap_dir = os.path.join(args.out, "snapshots")
     os.makedirs(snap_dir if v["snapshots"] else args.out, exist_ok=True)
-    # each chunk is timed on its own, from the end of the last one's writes
-    trace_rows = ["item_id,nfe,seconds"]
+    # each chunk is timed on its own, from the end of the last one's writes,
+    # and each of its items gets the chunk's seconds over its size
+    trace_rows = ["item_id,nfe,chunk_seconds_per_item"]
     chunks = restore_chunks(to_signed(np.stack(imgs)[:, None]), fn, sched,
                             t1, Rng(v["seed"]), v["batch"], v["snapshots"])
     t0 = time.perf_counter()
@@ -524,8 +525,7 @@ def build_parser() -> _Parser:
            "runs the full chain",
         steps="respaced steps, at most the checkpoint's t_steps",
         snapshots="dump every SNAPSHOTS-th intermediate image",
-        batch="images per chunk of diffusion.restore_chunks; trace.csv's "
-              "seconds for an image is its chunk's time over its size")
+        batch="images per chunk of diffusion.restore_chunks")
     r.set_defaults(fn=cmd_restore, settings=_RESTORE_KEYS)
 
     e = sub.add_parser("eval", help="PSNR/SSIM of predictions vs references")

@@ -199,19 +199,28 @@ def eps_predict(params: DenoiserParams, y_t, x, t) -> Tensor:
     return ad.channels_first(out)
 
 
-# activation bytes per item group of make_denoise_fn, counted as the widest
-# activation (image_size**2 * max(widths) * itemsize per item): at 1 MB a
-# group's activations and the conv's accumulation blocks share a 2 MB L2.
-# Of 1, 2, 4 and 8 items of the float32 32x32 net, 4 (1 MB) was fastest
+# activation bytes per item group, counted as the widest activation
+# (image_size**2 * max(widths) * itemsize per item): at 1 MB a group's
+# activations and the conv's accumulation blocks share a 2 MB L2.  It sizes
+# make_denoise_fn's item groups and train_stage's shards.  Of 1, 2, 4 and 8
+# items of the float32 32x32 net, 4 (1 MB) was fastest for a sampler chunk
+# and for a training step alike
 _GROUP_BYTES = 1 << 20
+
+
+def group_items(spec: NetSpec, dtype) -> int:
+    """Items per L2-sized group of a ``spec`` net in ``dtype``: 4 for the
+    float32 default net."""
+    return max(1, _GROUP_BYTES // (spec.image_size ** 2 * max(spec.widths)
+                                   * np.dtype(dtype).itemsize))
 
 
 def make_denoise_fn(params: DenoiserParams):
     """Wrap params as a plain ``(y, x, t) -> eps_hat`` numpy callable for the
     samplers (no graph is recorded); ``eps_hat`` is float64.
 
-    The batch is evaluated in consecutive item groups sized by
-    ``_GROUP_BYTES``, each written into one float64 output.  One
+    The batch is evaluated in consecutive item groups of
+    :func:`group_items`, each written into one float64 output.  One
     ``eps_predict`` call over a large batch (the sampler's 64-image chunk)
     makes every activation larger than the L2 cache, so the network runs
     from memory; the activations of one group fit in L2.  Items never mix,
@@ -219,9 +228,7 @@ def make_denoise_fn(params: DenoiserParams):
     A batch of at most one group is one ``eps_predict`` call.
     """
     dtype = next(iter(params.tensors.values())).data.dtype
-    s = params.spec
-    group = max(1, _GROUP_BYTES // (s.image_size ** 2 * max(s.widths)
-                                    * dtype.itemsize))
+    group = group_items(params.spec, dtype)
 
     def fn(y, x, t):
         y = np.asarray(y, dtype=dtype)

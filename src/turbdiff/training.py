@@ -11,6 +11,13 @@ The paper's recipe has two stages:
 
 Everything is driven by named sub-streams of one seed, so a stage retrains
 bit-identically.
+
+A step draws its batch whole, then runs the loss and its backward pass once
+per consecutive shard of ``denoiser.group_items`` items (4 for the float32
+default net), so the graph holds one shard's activations whatever the
+batch.  Each shard's loss is weighted by its share of the batch, so the
+gradients, summed in shard order, and the logged losses, weighted sums,
+are those of the whole batch up to float rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .denoiser import DenoiserParams, NetSpec, eps_predict, init_params
+from .denoiser import (DenoiserParams, NetSpec, eps_predict, group_items,
+                       init_params)
 from .diffusion import q_sample, to_signed
 from .domain import check_fields, check_order, setting
 from .rng import Rng
@@ -54,8 +62,9 @@ class TrainConfig:
 
     stage: Stage
     steps: int = setting(2500, "[0, inf)")
-    # a float32 distillation step holds about 2.6 MiB of graph per image
-    # (21 MiB at the default), so 2.7 GiB at the largest batch
+    # a step's graph is one shard's (10.5 MiB for a float32 distillation
+    # step of the default net) whatever the batch; the bound caps the
+    # batch's input and noise arrays
     batch_size: int = setting(8, "[1, 1024]")
     learning_rate: float = setting(2e-4, "(0, inf)")
     gamma: float = setting(0.01, "[0, inf)")      # distillation weight
@@ -198,6 +207,10 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
                 log_every: int = 0) -> TrainState:
     """Run one stage for ``config.steps`` optimization steps.
 
+    Each step's loss and backward run per shard of the batch (see the
+    module docstring); its history row holds the shards' losses weighted by
+    their share of the batch.
+
     ``init`` seeds the student (fresh fan-in init otherwise).  The
     distillation stage requires ``teacher_init`` (normally the WEAK_COND
     result); the teacher then follows the student by EMA after every
@@ -243,6 +256,7 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
     n = len(dataset)
     bsz = config.batch_size
     shape = (bsz,) + dataset.clean.shape[1:]
+    shard = group_items(student.spec, dtype)
 
     for _ in range(config.steps):
         # the last step's gradients go before this step's forward pass
@@ -252,19 +266,31 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
         y0 = _batch(dataset, idx, "clean").astype(dtype)
         t = t_rng.integers(1, sched.T + 1, (bsz,))
         eps = eps_rng.gauss(shape).astype(dtype)
-
         if stage is Stage.WEAK_COND:
             x = _batch(dataset, idx, "weak").astype(dtype)
-            loss = loss_simple(student, y0, x, t, eps, sched)
-            l_t, l_s, l_total = loss.item(), 0.0, loss.item()
         else:
             x_s = _batch(dataset, idx, "strong").astype(dtype)
             x_w = _batch(dataset, idx, "weak").astype(dtype)
-            loss, lt_t, ls_t = loss_final(student, state.teacher, y0, x_s, x_w,
-                                          t, eps, sched, config.gamma)
-            l_t, l_s, l_total = lt_t.item(), ls_t.item(), loss.item()
 
-        ad.backward(loss)
+        # one graph per shard: its loss, weighted by its share of the batch,
+        # goes through backward before the next shard's forward pass
+        l_t = l_s = l_total = 0.0
+        for lo in range(0, bsz, shard):
+            g = slice(lo, lo + shard)
+            w = (min(lo + shard, bsz) - lo) / bsz
+            if stage is Stage.WEAK_COND:
+                loss = loss_simple(student, y0[g], x[g], t[g], eps[g], sched)
+                lt_v, ls_v = loss.item(), 0.0
+            else:
+                loss, lt_t, ls_t = loss_final(student, state.teacher, y0[g],
+                                              x_s[g], x_w[g], t[g], eps[g],
+                                              sched, config.gamma)
+                lt_v, ls_v = lt_t.item(), ls_t.item()
+            l_t += w * lt_v
+            l_s += w * ls_v
+            l_total += w * loss.item()
+            ad.backward(ad.scale(loss, w))
+
         optimizer_step(state, {k: p.grad for k, p in student.tensors.items()},
                        config)
         if stage is Stage.STRONG_DISTILL:

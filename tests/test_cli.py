@@ -844,8 +844,8 @@ def test_restore_trace_times_each_chunk(corpus, weak_ckpt, tmp_path,
     out = tmp_path / "restored"
     assert _restore_three(corpus, weak_ckpt, out, "--batch", "2") == 0
     assert (out / "trace.csv").read_text().splitlines() == [
-        "item_id,nfe,seconds", "00000,2,1.5000", "00001,2,1.5000",
-        "00002,2,1.0000"]
+        "item_id,nfe,chunk_seconds_per_item", "00000,2,1.5000",
+        "00001,2,1.5000", "00002,2,1.0000"]
 
 
 def test_restore_snapshots_and_chunks_keep_item_streams(corpus, weak_ckpt,
@@ -890,7 +890,7 @@ def test_restore_then_eval(corpus, weak_ckpt, tmp_path, capsys):
                  "--in", *(str(corpus / "strong" / f"{n}.pgm") for n in names),
                  "--steps", "3", "--t1", "2", "--batch", "2"]) == 0
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "item_id,nfe,seconds"
+    assert trace[0] == "item_id,nfe,chunk_seconds_per_item"
     assert [r.split(",")[:2] for r in trace[1:]] == [[n, "2"] for n in names]
     assert sorted(p.name for p in out.glob("*.pgm")) == \
         [f"{n}.pgm" for n in names]

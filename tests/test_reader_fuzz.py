@@ -7,14 +7,22 @@ and a failure prints a one-line message with no traceback.  The seeds and
 the number of cases are fixed, so a run is the same every time, and the
 image sizes a mutated PGM header may claim are bounded, so that a reader
 that trusts them fails fast instead of allocating gigabytes.
+
+Random mutations rarely put a given number into a given key, so two
+table-driven tests also write every value of ``_VALUES`` into every
+checkpoint-header key and every config key, one key at a time.  Each of
+those runs ends in a failure after the value is read and used, so each
+case exits 2 with a message.
 """
 
 import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from turbdiff import cli, formats
 from turbdiff.cli import main
 from turbdiff.denoiser import NetSpec, init_params
 from turbdiff.formats import save_checkpoint, write_pgm
@@ -28,6 +36,17 @@ _BYTES = b"\x00\t\n\r =#,-+._0123456789eEx\x80\xff"
 _NUMBERS = (b"0", b"-1", b"2", b"255", b"65536", b"999999", b"nan", b"",
             b"1000000000000000")
 _MAX_PIXELS = 1 << 16  # largest image a mutated PGM header may claim
+# what a table-driven case writes as a key's value
+_VALUES = tuple(dict.fromkeys(_NUMBERS + (b"nan", b"inf", b"")))
+# every key of a checkpoint header: the net descriptor, the TrainConfig
+# fields it stores, and its two flags
+_HEADER_KEYS = ([f.name for f in fields(NetSpec)] + list(formats._META)
+                + ["has_teacher", "has_opt"])
+# (command, key) of every config key of every command that takes --config
+_CONFIG_KEYS = [(command, key) for command, table in (
+    ("gen-data", cli._GEN_KEYS), ("train", cli._TRAIN_KEYS),
+    ("ablate pt", cli._PT_KEYS), ("ablate sampling", cli._SAMPLING_KEYS))
+    for key in table]
 
 
 def _mutate(data: bytes, r: Rng) -> bytes:
@@ -63,17 +82,26 @@ def _claimed_pixels(raw: bytes) -> int:
         return 0
 
 
-def _run(argv, capsys, case) -> None:
+def _run(argv, capsys, case, codes=(0, 1, 2)) -> None:
     try:
         code = main(argv)
     except Exception as e:  # noqa: BLE001 -- reported with the case
         pytest.fail(f"{case}: {e!r} escaped main")
     err = capsys.readouterr().err
     assert "Traceback" not in err, (case, err)
-    assert code in (0, 1, 2), (case, code, err)
+    assert code in codes, (case, code, err)
     if code:
         last = err.splitlines()[-1] if err else ""
         assert last.startswith("error: ") and len(last) > 7, (case, err)
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory):
+    """A fresh 4x4 network's checkpoint."""
+    path = tmp_path_factory.mktemp("tiny") / "tiny.ckpt"
+    spec = NetSpec(image_size=4, widths=(2, 2, 2, 2), emb_dim=2, groups=1)
+    save_checkpoint(path, init_params(spec, Rng(0)))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -103,11 +131,8 @@ def test_mutated_pgm_headers(tmp_path, capsys):
         _run(argv, capsys, (case, raw[:24]))
 
 
-def test_mutated_checkpoint_headers(tmp_path, capsys):
-    spec = NetSpec(image_size=4, widths=(2, 2, 2, 2), emb_dim=2, groups=1)
-    valid = tmp_path / "valid.ckpt"
-    save_checkpoint(valid, init_params(spec, Rng(0)))
-    raw = valid.read_bytes()
+def test_mutated_checkpoint_headers(tiny_ckpt, tmp_path, capsys):
+    raw = tiny_ckpt.read_bytes()
     (hlen,) = struct.unpack_from("<I", raw, 8)
     header, records = raw[12:12 + hlen], raw[12 + hlen:]
     (nlen,) = struct.unpack_from("<I", records, 0)
@@ -127,16 +152,13 @@ def test_mutated_checkpoint_headers(tmp_path, capsys):
         _run(argv, capsys, (case, h if case % 5 else bytes(rec[:40])))
 
 
-def test_mutated_manifests(corpus, tmp_path, capsys):
-    spec = NetSpec(image_size=4, widths=(2, 2, 2, 2), emb_dim=2, groups=1)
-    init = tmp_path / "init.ckpt"
-    save_checkpoint(init, init_params(spec, Rng(0)))
+def test_mutated_manifests(corpus, tiny_ckpt, tmp_path, capsys):
     manifest = corpus / "manifest.txt"
     valid = manifest.read_bytes()
     # a 4x4 network: a manifest that reads is refused for its 32x32
     # images, so no case trains
     argv = ["train", "--stage", "weak", "--data", str(corpus), "--init",
-            str(init), "--out", str(tmp_path / "w.ckpt"), "--steps", "1"]
+            str(tiny_ckpt), "--out", str(tmp_path / "w.ckpt"), "--steps", "1"]
     r = Rng(2024).stream(2)
     try:
         for case in range(200):
@@ -158,3 +180,53 @@ def test_mutated_config_files(tmp_path, capsys):
         raw = _mutate(valid, r)
         config.write_bytes(raw)
         _run(argv, capsys, (case, raw))
+
+
+@pytest.mark.parametrize("key", _HEADER_KEYS)
+def test_every_header_key_takes_every_value(key, tiny_ckpt, tmp_path, capsys):
+    # restore reads the checkpoint, then its --in image, which is missing:
+    # a value the header accepts fails there
+    raw = tiny_ckpt.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    lines = raw[12:12 + hlen].splitlines(keepends=True)
+    assert [ln.split(b"=")[0].decode() for ln in lines] == _HEADER_KEYS
+    ckpt = tmp_path / "m.ckpt"
+    argv = ["restore", "--ckpt", str(ckpt), "--in", str(tmp_path / "x.pgm"),
+            "--out", str(tmp_path / "out")]
+    for value in _VALUES:
+        h = b"".join(key.encode() + b"=" + value + b"\n"
+                     if ln.split(b"=")[0].decode() == key else ln
+                     for ln in lines)
+        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(h)) + h
+                         + raw[12 + hlen:])
+        _run(argv, capsys, (key, value), codes=(2,))
+
+
+@pytest.mark.parametrize("command, key", _CONFIG_KEYS,
+                         ids=[f"{c}-{k}" for c, k in _CONFIG_KEYS])
+def test_every_config_key_takes_every_value(command, key, corpus, tiny_ckpt,
+                                            tmp_path, capsys):
+    # each command fails after it has used its settings: gen-data writes
+    # its first item onto a directory, train starts a 4x4 net on 32x32
+    # images, and the ablations read a missing --eval-data
+    config, out, missing = (tmp_path / n for n in ("run.cfg", "out", "none"))
+    # gen-data makes one item, unless the key is its count
+    base = b"count=1\n" if command == "gen-data" and key != "count" else b""
+    if command == "gen-data":
+        (out / "clean" / "00000.pgm").mkdir(parents=True)
+        argv = ["gen-data", "--out", str(out)]
+    elif command == "train":
+        argv = ["train", "--stage", "weak", "--data", str(corpus), "--init",
+                str(tiny_ckpt), "--out", str(tmp_path / "w.ckpt")]
+    else:
+        data = "--ckpt" if command == "ablate sampling" else "--train-data"
+        source = tiny_ckpt if command == "ablate sampling" else missing
+        argv = [*command.split(), data, str(source), "--eval-data",
+                str(missing), "--out", str(out)]
+    for value in _VALUES:
+        config.write_bytes(base + key.encode() + b"=" + value + b"\n")
+        # the one value that asks for no work: gen-data writes an empty
+        # corpus
+        want = 0 if (key, value) == ("count", b"0") else 2
+        _run(argv + ["--config", str(config)], capsys, (key, value),
+             codes=(want,))
