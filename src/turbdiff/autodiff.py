@@ -8,8 +8,11 @@ forward pass; tracked tensors are never mutated in place.  Each op computes
 in the dtype of its operands (float32 for training and sampling; the
 gradient tests run in float64); non-float input becomes float64.
 
-The hot kernels use numpy only: convolution is one matmul per kernel tap
-over row slices of the padded input (no patch matrix); group normalization
+The hot kernels use numpy, plus numpy's own OpenBLAS for convolution where
+``ctypes`` finds it: convolution is one matmul per kernel tap over row
+slices of the padded input (no patch matrix), each added into the output
+by BLAS itself, and by ``np.dot`` and a temporary on builds without that
+library (see :func:`_conv_rows`); group normalization
 reduces per channel, then per group, and broadcasts its statistics; SiLU's
 sigmoid is ``0.5 + 0.5*tanh(x/2)``.
 
@@ -245,18 +248,75 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 # output rows per accumulation block: sized so the output block and the
-# matmul temporary (about 2 * _BLOCK_BYTES) stay in a 2 MB L2
-_BLOCK_BYTES = 1 << 18
+# input rows it reads (about 2 * _BLOCK_BYTES) stay in a 2 MB L2.  Blocks
+# of 256 KB, 512 KB, 1 MB and 2 MB gave the same bits, and a fixture-net
+# B=64 NFE took 352, 346, 345 and 347 ms (float32, 1 BLAS thread, pinned
+# CPU, medians of 9 interleaved rounds)
+_BLOCK_BYTES = 1 << 19
+
+# cblas enums (cblas.h)
+_ROW_MAJOR, _NO_TRANS = 101, 111
+# OpenBLAS cuts a gemm's inner dimension into blocks and adds each block's
+# product into the output, so with beta = 1 a conv of more input channels
+# than one block would sum in another order than np.dot; those convs take
+# np.dot.  On SkylakeX 384 float64 and 448 float32 channels still matched
+# np.dot, 400 and 512 did not; the cap leaves room for smaller blocks
+_BLAS_MAX_CI = 128
 
 
-def _padded_rows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+def _load_cblas() -> dict | None:
+    """numpy's own OpenBLAS gemm and gemv, as ``{dtype: (gemm, gemv)}``, or
+    None when numpy links no such library.  The scipy-openblas wheels
+    export the cblas functions with a ``scipy_`` prefix and, on the ILP64
+    build, 64-bit integers and a ``64_`` suffix; they are found through the
+    numpy extension module that links them."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        funcs = {}
+        # enums (order, transposes), then sizes, scalars, pointers and
+        # strides, as in cblas.h with 64-bit integers
+        i, p, e = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
+        for dtype, c, real in ((np.float32, "s", ctypes.c_float),
+                               (np.float64, "d", ctypes.c_double)):
+            gemm = getattr(lib, f"scipy_cblas_{c}gemm64_")
+            gemv = getattr(lib, f"scipy_cblas_{c}gemv64_")
+            gemm.argtypes = (e, e, e, i, i, i, real, p, i, p, i, real, p, i)
+            gemv.argtypes = (e, e, i, i, real, p, i, p, i, real, p, i)
+            gemm.restype = gemv.restype = None
+            funcs[np.dtype(dtype)] = (gemm, gemv)
+        return funcs
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+_CBLAS = _load_cblas()
+
+
+def _padded_rows(x: np.ndarray, kh: int, kw: int, dtype=None) -> np.ndarray:
     """x (B,H,W,C) zero-padded by (kh // 2, kw // 2) on each side and
-    flattened to (B * Hp * Wp, C) rows."""
+    flattened to (B * Hp * Wp, C) rows, in ``dtype`` (default: x's)."""
     b, h, wd, c = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((b, h + 2 * ph, wd + 2 * pw, c), dtype=x.dtype)
+    xp = np.empty((b, h + 2 * ph, wd + 2 * pw, c),
+                  dtype=x.dtype if dtype is None else dtype)
+    xp[:, :ph] = xp[:, ph + h:] = 0
+    xp[:, :, :pw] = xp[:, :, pw + wd:] = 0
     xp[:, ph:ph + h, pw:pw + wd] = x
     return xp.reshape(-1, c)
+
+
+def _dot_taps(flat: np.ndarray, taps: list, acc: np.ndarray, r0: int) -> None:
+    """acc = the sum over ``taps`` (offset, weight) of
+    flat[r0 + offset:][:len(acc)] @ weight, by np.dot.  np.dot, not
+    np.matmul: matmul leaves BLAS for a single input channel (the head's
+    dx), which is ~7x slower."""
+    r1 = r0 + len(acc)
+    np.dot(flat[r0:r1], taps[0][1], out=acc)
+    t = np.empty_like(acc)
+    for off, wk in taps[1:]:
+        np.dot(flat[r0 + off:r1 + off], wk, out=t)
+        acc += t
 
 
 def _conv_rows(x: np.ndarray, w: np.ndarray):
@@ -269,26 +329,54 @@ def _conv_rows(x: np.ndarray, w: np.ndarray):
     an item's padded grid land on its border and are dropped, so items never
     mix.  Returns the (B, H, W, Co) view of the output on the padded grid
     and the flattened padded input.
+
+    ``ctypes`` is here because ``np.dot`` cannot add a product into its
+    output: with it each tap's product goes to a temporary and is then
+    added to the block, eight extra passes over every block of a 3x3 conv.
+    BLAS adds the product itself (``beta = 1``), so where numpy's own
+    OpenBLAS is found (:func:`_load_cblas`) each tap is one call into it,
+    to the routine ``np.dot`` uses for that shape: gemv for one output
+    channel, gemm otherwise.  The first tap writes the block, the others
+    add into it, in the same order, so the bits are ``np.dot``'s.  The
+    fallback is ``np.dot`` and a temporary (:func:`_dot_taps`): on builds
+    without that library, for more than ``_BLAS_MAX_CI`` input channels,
+    and for a block of one row, which ``np.dot`` sends to other routines.
     """
     b, h, wd, _ = x.shape
-    kh, kw, _, co = w.shape
+    kh, kw, ci, co = w.shape
     hp, wp = h + kh - 1, wd + kw - 1
-    flat = _padded_rows(x, kh, kw)
-    taps = [(u * wp + v, w[u, v]) for u in range(kh) for v in range(kw)]
-    n = flat.shape[0] - taps[-1][0]
     dtype = np.result_type(x, w)
+    w = np.ascontiguousarray(w, dtype=dtype)
+    flat = _padded_rows(x, kh, kw, dtype)
+    offs = [u * wp + v for u in range(kh) for v in range(kw)]
+    taps = list(zip(offs, w.reshape(-1, ci, co)))
+    n = flat.shape[0] - offs[-1]
     out = np.empty((flat.shape[0], co), dtype=dtype)
     step = max(256, _BLOCK_BYTES // (co * dtype.itemsize))
-    tmp = np.empty((step, co), dtype=dtype)
-    # np.dot, not np.matmul: matmul leaves BLAS for a single input channel
-    # (the head's dx), which is ~7x slower
+    blas = _CBLAS and ci <= _BLAS_MAX_CI and _CBLAS.get(dtype)
+    if blas:
+        gemm, gemv = blas
+        size = dtype.itemsize
+        fp, op, w0 = flat.ctypes.data, out.ctypes.data, w.ctypes.data
+        ptrs = [(fp + off * ci * size, w0 + k * ci * co * size)
+                for k, off in enumerate(offs)]
     for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        acc, t = out[r0:r1], tmp[:r1 - r0]
-        np.dot(flat[r0:r1], taps[0][1], out=acc)
-        for off, wk in taps[1:]:
-            np.dot(flat[r0 + off:r1 + off], wk, out=t)
-            acc += t
+        m = min(step, n - r0)
+        if not blas or m == 1:
+            _dot_taps(flat, taps, out[r0:r0 + m], r0)
+            continue
+        da, c, beta = r0 * ci * size, op + r0 * co * size, 0.0
+        for a, wk in ptrs:
+            # np.dot takes a single input channel as a scalar product;
+            # gemv with beta = 1 fused that product into the sum, gemm
+            # rounds it first as np.dot does
+            if co == 1 < ci:
+                gemv(_ROW_MAJOR, _NO_TRANS, m, ci, 1.0, a + da, ci, wk, 1,
+                     beta, c, 1)
+            else:
+                gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, co, ci, 1.0,
+                     a + da, ci, wk, co, beta, c, co)
+            beta = 1.0
     return out.reshape(b, hp, wp, co)[:, :h, :wd], flat
 
 
@@ -336,8 +424,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         wp = xd.shape[2] + kw - 1
         n, c = gflat.shape[0] - (kh - 1) * wp - (kw - 1), (kh // 2) * wp + kw // 2
         xflat = _padded_rows(xd, kh, kw)
-        dw = np.array([[xflat[u * wp + v:][:n].T @ gflat[c:c + n]
-                        for v in range(kw)] for u in range(kh)])
+        dw = np.empty((kh, kw, xflat.shape[1], gflat.shape[1]),
+                      dtype=np.result_type(xflat, gflat))
+        for u in range(kh):
+            for v in range(kw):
+                np.matmul(xflat[u * wp + v:][:n].T, gflat[c:c + n],
+                          out=dw[u, v])
         grads = (dx, dw)
         return grads + (g.sum(axis=(0, 1, 2)),) if bias else grads
 

@@ -216,6 +216,13 @@ def save_checkpoint(path, student: DenoiserParams,
     replace_file(path, f.getvalue())
 
 
+def _flag(kv: dict[str, str], key: str) -> bool:
+    """A header flag, written as 0 or 1; any other value is malformed."""
+    if kv[key] not in ("0", "1"):
+        raise ValueError(f"{key}={kv[key]} is not 0 or 1")
+    return kv[key] == "1"
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         f = io.BytesIO(fh.read())
@@ -234,8 +241,7 @@ def load_checkpoint(path) -> Checkpoint:
             for f in fields(NetSpec)})
         meta = TrainConfig(**{name: typ(kv[key])
                               for key, (name, typ) in _META.items()})
-        has_teacher = bool(int(kv["has_teacher"]))
-        has_opt = bool(int(kv["has_opt"]))
+        has_teacher, has_opt = _flag(kv, "has_teacher"), _flag(kv, "has_opt")
     except (KeyError, ValueError) as e:
         raise DataError(f"{path}: bad header field: {e}") from None
 

@@ -496,6 +496,121 @@ def test_conv2d_batch_items_are_independent(kernel):
         assert np.max(np.abs(xi.grad[0] - xt.grad[i])) <= 1e-12
 
 
+# ---------------------------------------------------------------------------
+# the BLAS path of _conv_rows and its np.dot fallback
+# ---------------------------------------------------------------------------
+
+def _conv_rows_both(monkeypatch, x, w):
+    """_conv_rows' (output, padded input) on the BLAS path, then on the
+    np.dot fallback, as contiguous arrays."""
+    blas, outs = ad._CBLAS, []
+    for path in (blas, None):
+        monkeypatch.setattr(ad, "_CBLAS", path)
+        outs.append([np.ascontiguousarray(a) for a in ad._conv_rows(x, w)])
+    monkeypatch.setattr(ad, "_CBLAS", blas)
+    return outs
+
+
+@pytest.mark.parametrize("block_bytes", [ad._BLOCK_BYTES, 1 << 10])
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 1), (3, 1), (1, 3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_rows_blas_path_gives_the_np_dot_bits(monkeypatch, dtype,
+                                                   kernel, block_bytes):
+    # one input channel goes to gemm, one output channel to gemv; a 1x1
+    # image of one item is a block of one row; with small blocks (256
+    # rows) the larger images span several.  A tap that read past the
+    # padded buffer, or added in another order, would not give np.dot's
+    # bits
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
+    rng = Rng(50)
+    for ci in (1, 2, 32):
+        for co in (1, 4, 32):
+            for b in (1, 3):
+                for hw in ((1, 1), (5, 6), (32, 32)):
+                    x = rng.gauss((b, *hw, ci)).astype(dtype)
+                    w = rng.gauss((*kernel, ci, co)).astype(dtype)
+                    (got, fg), (want, fw) = _conv_rows_both(monkeypatch, x, w)
+                    case = (ci, co, b, hw)
+                    assert got.dtype == want.dtype == dtype, case
+                    assert np.array_equal(got, want), case
+                    assert np.array_equal(fg, fw), case
+
+
+def test_conv_rows_blas_path_of_mixed_dtypes_is_float64(monkeypatch):
+    rng = Rng(51)
+    x = rng.gauss((2, 5, 6, 3)).astype(np.float32)
+    w = rng.gauss((3, 3, 3, 4))
+    (got, _), (want, _) = _conv_rows_both(monkeypatch, x, w)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, ad._conv_rows(x.astype(np.float64), w)[0])
+
+
+def test_conv_rows_takes_the_blas_path_on_numpys_openblas(monkeypatch):
+    # numpy's wheels link the ILP64 scipy-openblas; there, every conv of
+    # the denoiser (the stem's 2 input channels, the head's 1 output
+    # channel) must run on BLAS calls, and give the fallback's bits
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    ilp64 = blas["name"] == "scipy-openblas" and \
+        "USE64BITINT" in blas.get("openblas configuration", "")
+    assert (ad._CBLAS is not None) == ilp64
+    if not ilp64:
+        return
+    calls = {"gemm": 0, "gemv": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(ad, "_CBLAS", {
+        dt: (counted("gemm", gemm), counted("gemv", gemv))
+        for dt, (gemm, gemv) in ad._CBLAS.items()})
+    rng = Rng(52)
+    for size, ci, co, k in DENOISER_CONVS:
+        x = rng.gauss((2, size, size, ci)).astype(np.float32)
+        w = rng.gauss((k, k, ci, co)).astype(np.float32)
+        before = dict(calls)
+        (got, _), (want, _) = _conv_rows_both(monkeypatch, x, w)
+        assert np.array_equal(got, want)
+        name = "gemv" if co == 1 else "gemm"
+        assert calls[name] - before[name] >= k * k, (size, ci, co, k)
+
+
+def test_conv2d_without_blas_gives_the_same_values_and_grads(monkeypatch):
+    # the fallback is the only path on builds without numpy's OpenBLAS:
+    # forward and every gradient are the BLAS path's bits, in float32 and
+    # float64, and the gradients pass the finite-difference check
+    rng, blas = Rng(53), ad._CBLAS
+    for dtype in (np.float32, np.float64):
+        for size, ci, co, k in DENOISER_CONVS:
+            arrays = (rng.gauss((2, size // 2, size // 2, ci)),
+                      rng.gauss((k, k, ci, co)), rng.gauss((co,)))
+            gout = rng.gauss((2, size // 2, size // 2, co))
+            results = []
+            for path in (blas, None):
+                monkeypatch.setattr(ad, "_CBLAS", path)
+                results.append(op_outputs(ad.conv2d, arrays, gout, dtype))
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want), (dtype, size, ci, co, k)
+    monkeypatch.setattr(ad, "_CBLAS", None)
+    x = t_(rng.gauss((2, 5, 4, 2)))
+    w = t_(rng.gauss((3, 3, 2, 3)) * 0.4)
+    b = t_(rng.gauss((3,)) * 0.1)
+    ref = Tensor(rng.gauss((2, 5, 4, 3)))
+    finite_diff_check(lambda: ad.mse(ad.conv2d(x, w, b), ref),
+                      {"x": x, "w": w, "b": b})
+
+
+def test_load_cblas_without_the_symbols_is_none(monkeypatch):
+    # a numpy built on another BLAS, or on an LP64 OpenBLAS whose symbols
+    # lack the 64_ suffix: no BLAS path, and _conv_rows keeps np.dot
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda path: object())
+    assert ad._load_cblas() is None
+
+
 def test_no_grad_blocks_graph():
     w = t_([1.0, 2.0])
     with ad.no_grad():

@@ -594,6 +594,32 @@ def test_train_strong_from_weak_checkpoint(corpus, weak_ckpt, tmp_path):
     assert ck.student.spec == load_checkpoint(weak_ckpt).student.spec
 
 
+def test_checkpoint_flags_other_than_0_or_1_exit_2(corpus, weak_ckpt,
+                                                   tmp_path, capsys):
+    # a strong checkpoint holds teacher and optimizer records, so a flag
+    # that merely read as nonzero would load them
+    ckpt = tmp_path / "strong.ckpt"
+    assert main(["train", "--stage", "strong", "--data", str(corpus),
+                 "--teacher", str(weak_ckpt), "--out", str(ckpt),
+                 "--steps", "1", "--batch-size", "2"]) == 0
+    raw = ckpt.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    image = sorted((corpus / "strong").iterdir())[0]
+    for key, value in (("has_teacher", "2"), ("has_opt", "-7")):
+        header = raw[12:12 + n].replace(f"{key}=1".encode(),
+                                        f"{key}={value}".encode())
+        assert header != raw[12:12 + n]
+        bad = tmp_path / f"{key}.ckpt"
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header
+                        + raw[12 + n:])
+        out = tmp_path / f"out-{key}"
+        assert main(["restore", "--ckpt", str(bad), "--in", str(image),
+                     "--out", str(out), "--steps", "2", "--t1", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: bad header field: {key}={value} is not 0 or 1\n")
+        assert not out.exists()
+
+
 def test_ablate_sampling_writes_both_csvs(corpus, weak_ckpt, tmp_path,
                                           capsys):
     # the full chain t1 = K is a row whether or not the list holds K
