@@ -9,12 +9,15 @@ in the dtype of its operands (float32 for training and sampling; the
 gradient tests run in float64); non-float input becomes float64.
 
 The hot kernels use numpy, plus numpy's own OpenBLAS for convolution where
-``ctypes`` finds it: convolution is one matmul per kernel tap over row
-slices of the padded input (no patch matrix), each added into the output
-by BLAS itself, and by ``np.dot`` and a temporary on builds without that
-library (see :func:`_conv_rows`); group normalization
-reduces per channel, then per group, and broadcasts its statistics; SiLU's
-sigmoid is ``0.5 + 0.5*tanh(x/2)``.
+``ctypes`` finds it: convolution is one matmul per kernel tap over the row
+slice of the padded input (no patch matrix), each added into the output by
+BLAS itself, then the bias as one more product (ones times bias) into the
+same output, and by ``np.dot``, a temporary and ``+=`` on builds without
+that library (see :func:`_conv_rows`).  Sums over pixels (group
+normalization's statistics, the conv bias and channel-map gradients) are
+BLAS products ``ones @ x``; group normalization then takes each channel's
+group mean with one (C, C) projection per item (:func:`_group_mean_map`)
+and broadcasts it.  SiLU's sigmoid is ``0.5 + 0.5*tanh(x/2)``.
 
 Allocator policy: on glibc, importing this module sets the C allocator to
 keep the memory the process frees (``mallopt``: arrays up to 32 MiB come
@@ -45,6 +48,7 @@ the graph with a new forward.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 from contextlib import contextmanager
 
@@ -243,19 +247,23 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _node(x.data + b.data, (x, b), lambda g: (g, g.sum(axis=0)))
 
 
+def _channel_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of ``a`` (..., N, C) over N, as the BLAS product ``ones @ a``:
+    numpy's ``sum`` over that axis took 4-11x as long on the net's
+    activations.  A stacked ``a`` (B, N, C) is one product per item, so an
+    item's sums are the same bits in any batch."""
+    return np.ones(a.shape[-2], a.dtype) @ a
+
+
 # ---------------------------------------------------------------------------
 # convolution (channels-last, shift-and-matmul on the padded row grid)
 # ---------------------------------------------------------------------------
 
-# output rows per accumulation block: sized so the output block and the
-# input rows it reads (about 2 * _BLOCK_BYTES) stay in a 2 MB L2.  Blocks
-# of 256 KB, 512 KB, 1 MB and 2 MB gave the same bits, and a fixture-net
-# B=64 NFE took 352, 346, 345 and 347 ms (float32, 1 BLAS thread, pinned
-# CPU, medians of 9 interleaved rounds)
-_BLOCK_BYTES = 1 << 19
-
-# cblas enums (cblas.h)
-_ROW_MAJOR, _NO_TRANS = 101, 111
+# cblas enums (cblas.h), and the integer 1 (K of the bias product, its
+# leading dimension, and the vector strides), as the ctypes instances the
+# calls take
+_ROW_MAJOR, _NO_TRANS = ctypes.c_int(101), ctypes.c_int(111)
+_ONE = ctypes.c_int64(1)
 # OpenBLAS cuts a gemm's inner dimension into blocks and adds each block's
 # product into the output, so with beta = 1 a conv of more input channels
 # than one block would sum in another order than np.dot; those convs take
@@ -265,11 +273,21 @@ _BLAS_MAX_CI = 128
 
 
 def _load_cblas() -> dict | None:
-    """numpy's own OpenBLAS gemm and gemv, as ``{dtype: (gemm, gemv)}``, or
-    None when numpy links no such library.  The scipy-openblas wheels
-    export the cblas functions with a ``scipy_`` prefix and, on the ILP64
-    build, 64-bit integers and a ``64_`` suffix; they are found through the
-    numpy extension module that links them."""
+    """numpy's own OpenBLAS gemm and gemv, as ``{dtype: (gemm, gemv,
+    real)}`` with ``real`` the ctypes type of a scalar, or None when numpy
+    links no such library.  The scipy-openblas wheels export the cblas
+    functions with a ``scipy_`` prefix and, on the ILP64 build, 64-bit
+    integers and a ``64_`` suffix; they are found through the numpy
+    extension module that links them.
+
+    ``argtypes`` stays declared, so an argument of the wrong kind raises
+    rather than reaching BLAS.  But ctypes converts each Python int or
+    float argument to its declared type, a new object per argument per
+    call, and passes an argument that already is an instance of that type
+    as it is: a 4x4 sgemm call took 2.3-2.7 us with Python numbers and
+    1.3-1.5 us with instances (pinned CPU, 1 BLAS thread).  So
+    :func:`_conv_rows` builds its sizes, scalars and pointers as instances
+    once per call, and the enums are module constants."""
     try:
         from numpy._core import _multiarray_umath
         lib = ctypes.CDLL(_multiarray_umath.__file__)
@@ -284,7 +302,7 @@ def _load_cblas() -> dict | None:
             gemm.argtypes = (e, e, e, i, i, i, real, p, i, p, i, real, p, i)
             gemv.argtypes = (e, e, i, i, real, p, i, p, i, real, p, i)
             gemm.restype = gemv.restype = None
-            funcs[np.dtype(dtype)] = (gemm, gemv)
+            funcs[np.dtype(dtype)] = (gemm, gemv, real)
         return funcs
     except (ImportError, OSError, AttributeError):
         return None
@@ -306,78 +324,86 @@ def _padded_rows(x: np.ndarray, kh: int, kw: int, dtype=None) -> np.ndarray:
     return xp.reshape(-1, c)
 
 
-def _dot_taps(flat: np.ndarray, taps: list, acc: np.ndarray, r0: int) -> None:
+def _dot_taps(flat: np.ndarray, taps: list, acc: np.ndarray) -> None:
     """acc = the sum over ``taps`` (offset, weight) of
-    flat[r0 + offset:][:len(acc)] @ weight, by np.dot.  np.dot, not
-    np.matmul: matmul leaves BLAS for a single input channel (the head's
-    dx), which is ~7x slower."""
-    r1 = r0 + len(acc)
-    np.dot(flat[r0:r1], taps[0][1], out=acc)
+    flat[offset:][:len(acc)] @ weight, by np.dot.  np.dot, not np.matmul:
+    matmul leaves BLAS for a single input channel (the head's dx), which is
+    ~7x slower."""
+    n = len(acc)
+    np.dot(flat[:n], taps[0][1], out=acc)
     t = np.empty_like(acc)
     for off, wk in taps[1:]:
-        np.dot(flat[r0 + off:r1 + off], wk, out=t)
+        np.dot(flat[off:off + n], wk, out=t)
         acc += t
 
 
-def _conv_rows(x: np.ndarray, w: np.ndarray):
-    """Stride-1 'same' convolution of x (B,H,W,Ci) with w (kh,kw,Ci,Co).
+def _conv_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None):
+    """Stride-1 'same' convolution of x (B,H,W,Ci) with w (kh,kw,Ci,Co),
+    plus the optional bias (Co,), in the result dtype of the three.
 
     The input is zero-padded once and flattened to rows of Ci.  On that
     padded grid (Hp, Wp) the tap (u, v) of output row r reads input row
-    r + u*Wp + v, so the convolution is one matmul per tap over contiguous
-    row slices, accumulated block by block.  Rows whose tap would read past
-    an item's padded grid land on its border and are dropped, so items never
-    mix.  Returns the (B, H, W, Co) view of the output on the padded grid
-    and the flattened padded input.
+    r + u*Wp + v, so the convolution is one matmul per tap over one
+    contiguous row slice.  Rows whose tap would read past an item's padded
+    grid land on its border and are dropped, so items never mix.  The bias
+    is added on the padded grid, then the valid rows are copied out once.
+    Returns the contiguous (B, H, W, Co) output and the flattened padded
+    input.
 
     ``ctypes`` is here because ``np.dot`` cannot add a product into its
     output: with it each tap's product goes to a temporary and is then
-    added to the block, eight extra passes over every block of a 3x3 conv.
-    BLAS adds the product itself (``beta = 1``), so where numpy's own
-    OpenBLAS is found (:func:`_load_cblas`) each tap is one call into it,
-    to the routine ``np.dot`` uses for that shape: gemv for one output
-    channel, gemm otherwise.  The first tap writes the block, the others
-    add into it, in the same order, so the bits are ``np.dot``'s.  The
-    fallback is ``np.dot`` and a temporary (:func:`_dot_taps`): on builds
-    without that library, for more than ``_BLAS_MAX_CI`` input channels,
-    and for a block of one row, which ``np.dot`` sends to other routines.
+    added to the output, eight extra passes of a 3x3 conv.  BLAS adds the
+    product itself (``beta = 1``), so where numpy's own OpenBLAS is found
+    (:func:`_load_cblas`) each tap is one call into it, to the routine
+    ``np.dot`` uses for that shape: gemv for one output channel, gemm
+    otherwise.  The first tap writes the output, the others add into it,
+    in the same order, so the bits are ``np.dot``'s.  The bias is one more
+    gemm, ones (N, 1) times bias (1, Co) with beta = 1: each product is
+    exact, so it gives the bits of ``out + bias``.  The fallback is
+    ``np.dot`` and a temporary (:func:`_dot_taps`), then ``+=`` of the
+    bias: on builds without that library, for more than ``_BLAS_MAX_CI``
+    input channels, and for one output row, which ``np.dot`` sends to other
+    routines.
     """
     b, h, wd, _ = x.shape
     kh, kw, ci, co = w.shape
     hp, wp = h + kh - 1, wd + kw - 1
-    dtype = np.result_type(x, w)
+    dtype = np.result_type(x, w) if bias is None else np.result_type(x, w, bias)
     w = np.ascontiguousarray(w, dtype=dtype)
     flat = _padded_rows(x, kh, kw, dtype)
     offs = [u * wp + v for u in range(kh) for v in range(kw)]
-    taps = list(zip(offs, w.reshape(-1, ci, co)))
     n = flat.shape[0] - offs[-1]
     out = np.empty((flat.shape[0], co), dtype=dtype)
-    step = max(256, _BLOCK_BYTES // (co * dtype.itemsize))
-    blas = _CBLAS and ci <= _BLAS_MAX_CI and _CBLAS.get(dtype)
-    if blas:
-        gemm, gemv = blas
-        size = dtype.itemsize
-        fp, op, w0 = flat.ctypes.data, out.ctypes.data, w.ctypes.data
-        ptrs = [(fp + off * ci * size, w0 + k * ci * co * size)
-                for k, off in enumerate(offs)]
-    for r0 in range(0, n, step):
-        m = min(step, n - r0)
-        if not blas or m == 1:
-            _dot_taps(flat, taps, out[r0:r0 + m], r0)
-            continue
-        da, c, beta = r0 * ci * size, op + r0 * co * size, 0.0
-        for a, wk in ptrs:
+    blas = _CBLAS and n > 1 and ci <= _BLAS_MAX_CI and _CBLAS.get(dtype)
+    if not blas:
+        _dot_taps(flat, list(zip(offs, w.reshape(-1, ci, co))), out[:n])
+        if bias is not None:
+            out[:n] += bias
+    else:
+        gemm, gemv, real = blas
+        i64, ptr, size = ctypes.c_int64, ctypes.c_void_p, dtype.itemsize
+        rows, cin, cout = i64(n), i64(ci), i64(co)
+        one, beta, c = real(1.0), real(0.0), ptr(out.ctypes.data)
+        fp, w0 = flat.ctypes.data, w.ctypes.data
+        for k, off in enumerate(offs):
+            a, wk = ptr(fp + off * ci * size), ptr(w0 + k * ci * co * size)
             # np.dot takes a single input channel as a scalar product;
             # gemv with beta = 1 fused that product into the sum, gemm
             # rounds it first as np.dot does
             if co == 1 < ci:
-                gemv(_ROW_MAJOR, _NO_TRANS, m, ci, 1.0, a + da, ci, wk, 1,
-                     beta, c, 1)
+                gemv(_ROW_MAJOR, _NO_TRANS, rows, cin, one, a, cin, wk, _ONE,
+                     beta, c, _ONE)
             else:
-                gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, co, ci, 1.0,
-                     a + da, ci, wk, co, beta, c, co)
-            beta = 1.0
-    return out.reshape(b, hp, wp, co)[:, :h, :wd], flat
+                gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, rows, cout, cin, one,
+                     a, cin, wk, cout, beta, c, cout)
+            beta = one
+        if bias is not None:
+            ones = np.ones(n, dtype)
+            bias = np.ascontiguousarray(bias, dtype=dtype)
+            gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, rows, cout, _ONE, one,
+                 ptr(ones.ctypes.data), _ONE, ptr(bias.ctypes.data), cout,
+                 one, c, cout)
+    return np.ascontiguousarray(out.reshape(b, hp, wp, co)[:, :h, :wd]), flat
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -401,8 +427,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             raise ValueError(f"conv2d: bias shape {b.shape} != ({co},)")
     xd, wdat = x.data, w.data
     x_grad, bias = x.requires_grad, b is not None
-    out = _conv_rows(xd, wdat)[0]
-    out = np.ascontiguousarray(out) if b is None else out + b.data
+    out = _conv_rows(xd, wdat, None if b is None else b.data)[0]
 
     def vjp(g):
         # dx: full correlation with the spatially flipped, channel-swapped
@@ -418,7 +443,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             wr = np.ascontiguousarray(
                 np.flip(wdat, (0, 1)).transpose(0, 1, 3, 2))
             dx, gflat = _conv_rows(g, wr)
-            dx = np.ascontiguousarray(dx)
         else:
             dx, gflat = None, _padded_rows(g, kh, kw)
         wp = xd.shape[2] + kw - 1
@@ -431,7 +455,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                 np.matmul(xflat[u * wp + v:][:n].T, gflat[c:c + n],
                           out=dw[u, v])
         grads = (dx, dw)
-        return grads + (g.sum(axis=(0, 1, 2)),) if bias else grads
+        return grads + (_channel_sums(g.reshape(-1, co)),) if bias else grads
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out, parents, vjp)
@@ -459,11 +483,27 @@ def silu(x: Tensor) -> Tensor:
     return _node(out, (x,), vjp)
 
 
+@functools.lru_cache(maxsize=64)
+def _group_mean_map(c: int, groups: int, m: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only (C, C) projection that takes per-channel sums (a row)
+    to each channel's group mean over ``m`` values: 1/m between two
+    channels of one group, 0 elsewhere."""
+    group = np.arange(c) // (c // groups)
+    proj = np.where(group[:, None] == group, 1.0 / m, 0.0).astype(dtype)
+    proj.flags.writeable = False
+    return proj
+
+
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
                eps: float = 1e-5) -> Tensor:
     """Group normalization over channels-last (B, H, W, C) with per-channel
     affine.  Groups partition the channel axis; statistics pool over the
-    spatial dims and the channels within a group."""
+    spatial dims and the channels within a group.
+
+    Each statistic is a per-channel sum (:func:`_channel_sums`), then one
+    product with :func:`_group_mean_map` per item, which pools the sums of
+    a group and divides by its size; an item's statistics, and so its
+    output and input gradient, are the same bits in any batch."""
     _need(x, "group_norm"), _need(gamma, "group_norm"), _need(beta, "group_norm")
     if x.data.ndim != 4:
         raise ValueError(f"group_norm: need 4-D input, got {x.shape}")
@@ -473,31 +513,29 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(
             f"group_norm: affine shapes {gamma.shape}/{beta.shape} != ({c},)")
-    cg = c // groups
-    m = h * w * cg
+    proj = _group_mean_map(c, groups, h * w * c // groups, x.data.dtype)
 
-    def group_mean(per_channel_sum):
-        # (B, C) spatial sums -> each channel's group mean, as (B, 1, C)
-        s = per_channel_sum.reshape(bsz, groups, cg).sum(axis=2) / m
-        return np.repeat(s, cg, axis=1)[:, None, :]
+    def group_mean(sums):
+        # (B, C) per-channel sums -> each channel's group mean, as (B, 1, C)
+        return sums[:, None, :] @ proj
 
-    # spatial sums per channel reduce over the outer axis, which is fast
     xr = x.data.reshape(bsz, h * w, c)
-    mu = group_mean(xr.sum(axis=1))
+    mu = group_mean(_channel_sums(xr))
     xc = xr - mu
-    inv = 1.0 / np.sqrt(group_mean(np.einsum("bmc,bmc->bc", xc, xc)) + eps)
+    out = np.square(xc)
+    inv = 1.0 / np.sqrt(group_mean(_channel_sums(out)) + eps)
     gd = gamma.data
-    out = xc
-    out *= inv * gd
+    np.multiply(xc, inv * gd, out=out)
     out += beta.data
 
     def vjp(g):
         gr = g.reshape(bsz, h * w, c)
         xhat = xr - mu
         xhat *= inv
-        g_c = gr.sum(axis=1)
-        gx_c = np.einsum("bmc,bmc->bc", gr, xhat)
-        dx = gr * gd
+        g_c = _channel_sums(gr)
+        dx = gr * xhat
+        gx_c = _channel_sums(dx)
+        np.multiply(gr, gd, out=dx)
         dx -= group_mean(g_c * gd)
         xhat *= group_mean(gx_c * gd)  # in place: xhat is not read again
         dx -= xhat
@@ -576,7 +614,8 @@ def add_channel_map(x: Tensor, v: Tensor) -> Tensor:
             or (x.shape[0], x.shape[3]) != v.shape:
         raise ValueError(f"add_channel_map: shape mismatch {x.shape} vs {v.shape}")
     out = x.data + v.data[:, None, None, :]
-    return _node(out, (x, v), lambda g: (g, g.sum(axis=(1, 2))))
+    return _node(out, (x, v),
+                 lambda g: (g, _channel_sums(g.reshape(len(g), -1, g.shape[3]))))
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,8 @@ def eps_predict(params: DenoiserParams, y_t, x, t) -> Tensor:
 
 
 # activation bytes per item group, counted as the widest activation
-# (image_size**2 * max(widths) * itemsize per item): at 1 MB a group's
-# activations and the conv's accumulation blocks share a 2 MB L2.  It sizes
+# (image_size**2 * max(widths) * itemsize per item): at 1 MB a conv's
+# output and the padded input it reads share a 2 MB L2.  It sizes
 # make_denoise_fn's item groups and train_stage's shards.  Of 1, 2, 4 and 8
 # items of the float32 32x32 net, 4 (1 MB) was fastest for a sampler chunk
 # and for a training step alike

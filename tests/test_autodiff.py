@@ -1,3 +1,4 @@
+import ctypes
 import functools
 import tracemalloc
 import weakref
@@ -465,6 +466,82 @@ def test_group_norm_float32_survives_a_large_offset():
     assert_close32(out, group_norm_ref(x, g, b, 8), tol=1e-3)
 
 
+def group_norm_by_axis_sums(x, g, b, groups, gout, eps=1e-5):
+    """Output and (dx, dgamma, dbeta) of group_norm, with its statistics
+    taken by numpy's sums over axes (the formula before they became BLAS
+    products), in x's dtype."""
+    bsz, h, w, c = x.shape
+    cg = c // groups
+
+    def group_mean(s):
+        s = s.reshape(bsz, groups, cg).sum(axis=2) / (h * w * cg)
+        return np.repeat(s, cg, axis=1)[:, None, :]
+
+    xr, gr = x.reshape(bsz, h * w, c), gout.reshape(bsz, h * w, c)
+    mu = group_mean(xr.sum(axis=1))
+    xc = xr - mu
+    inv = 1.0 / np.sqrt(group_mean((xc * xc).sum(axis=1)) + eps)
+    xhat = xc * inv
+    g_c, gx_c = gr.sum(axis=1), (gr * xhat).sum(axis=1)
+    dx = (gr * g - group_mean(g_c * g) - xhat * group_mean(gx_c * g)) * inv
+    return [(xhat * g + b).reshape(x.shape), dx.reshape(x.shape),
+            gx_c.sum(axis=0), g_c.sum(axis=0)]
+
+
+# group_norm's float32 forward and gradients against the axis-sum formula in
+# float64, relative to each tensor's largest magnitude: at most 3.4e-7 on
+# the cases below with the BLAS sums
+TOL_GN32 = 2e-6
+
+
+@pytest.mark.parametrize("shape", [(4, 32, 32, 32), (4, 16, 16, 64),
+                                   (1, 32, 32, 32), (2, 2, 2, 32)])
+def test_group_norm_float32_stays_near_the_axis_sums_in_float64(shape):
+    rng = Rng(2100 + shape[0] + shape[1] + shape[3])
+    x = 0.5 + 2.0 * rng.gauss(shape)
+    g = 1.0 + 0.2 * rng.gauss((shape[3],))
+    b = 0.2 * rng.gauss((shape[3],))
+    gout = rng.gauss(shape)
+    gn = functools.partial(ad.group_norm, groups=8)
+    got = op_outputs(gn, (x, g, b), gout, np.float32)
+    want = group_norm_by_axis_sums(x, g, b, 8, gout)
+    for name, g32, g64 in zip(("out", "dx", "dgamma", "dbeta"), got, want):
+        assert g32.dtype == np.float32
+        err = np.max(np.abs(g32 - g64)) / np.max(np.abs(g64))
+        assert err <= TOL_GN32, (name, err)
+
+
+@pytest.mark.parametrize("shape", [(4, 32, 32, 32), (4, 16, 16, 64),
+                                   (4, 2, 2, 32)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_group_norm_of_a_batch_is_each_item_alone(dtype, shape):
+    # the per-item stream contract: an item's statistics, output and input
+    # gradient do not depend on the other items of its batch
+    rng = Rng(2200 + shape[1] + shape[3])
+    x = rng.gauss(shape) * (3.0 ** np.arange(4))[:, None, None, None]
+    g, b = 1.0 + 0.2 * rng.gauss((shape[3],)), rng.gauss((shape[3],))
+    gout = rng.gauss(shape)
+    gn = functools.partial(ad.group_norm, groups=8)
+    out, dx = op_outputs(gn, (x, g, b), gout, dtype)[:2]
+    for i in range(4):
+        oi, dxi = op_outputs(gn, (x[i:i + 1], g, b), gout[i:i + 1], dtype)[:2]
+        assert np.array_equal(oi[0], out[i]), i
+        assert np.array_equal(dxi[0], dx[i]), i
+
+
+def test_pixel_sum_gradients_float32_stay_near_the_axis_sums_in_float64():
+    # the conv bias and channel-map gradients are ones-products; in float32
+    # they stay within ~100 ulps of numpy's axis sums in float64
+    rng = Rng(2300)
+    g = rng.gauss((4, 32, 32, 32))
+    x, w = rng.gauss((4, 32, 32, 32)), rng.gauss((3, 3, 32, 32)) / 17.0
+    db = op_outputs(ad.conv2d, (x, w, rng.gauss((32,))), g, np.float32)[3]
+    assert_close32(db, g.sum(axis=(0, 1, 2)))
+    dv = op_outputs(ad.add_channel_map, (x, rng.gauss((4, 32))), g,
+                    np.float32)[2]
+    assert_close32(dv, g.sum(axis=(1, 2)))
+
+
 def test_conv2d_non_square_kernel_finite_differences():
     # kh != kw: the tap offsets u*Wp + v and the centred gradient grid of dW
     rng = Rng(41)
@@ -511,17 +588,13 @@ def _conv_rows_both(monkeypatch, x, w):
     return outs
 
 
-@pytest.mark.parametrize("block_bytes", [ad._BLOCK_BYTES, 1 << 10])
 @pytest.mark.parametrize("kernel", [(3, 3), (1, 1), (3, 1), (1, 3)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv_rows_blas_path_gives_the_np_dot_bits(monkeypatch, dtype,
-                                                   kernel, block_bytes):
+def test_conv_rows_blas_path_gives_the_np_dot_bits(monkeypatch, dtype, kernel):
     # one input channel goes to gemm, one output channel to gemv; a 1x1
-    # image of one item is a block of one row; with small blocks (256
-    # rows) the larger images span several.  A tap that read past the
+    # image of one item is one output row.  A tap that read past the
     # padded buffer, or added in another order, would not give np.dot's
     # bits
-    monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
     rng = Rng(50)
     for ci in (1, 2, 32):
         for co in (1, 4, 32):
@@ -549,7 +622,9 @@ def test_conv_rows_blas_path_of_mixed_dtypes_is_float64(monkeypatch):
 def test_conv_rows_takes_the_blas_path_on_numpys_openblas(monkeypatch):
     # numpy's wheels link the ILP64 scipy-openblas; there, every conv of
     # the denoiser (the stem's 2 input channels, the head's 1 output
-    # channel) must run on BLAS calls, and give the fallback's bits
+    # channel) must run on BLAS calls, one per tap plus one gemm for the
+    # bias, whose arguments are all ctypes instances (argtypes passes them
+    # on unconverted), and give the fallback's bits
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     ilp64 = blas["name"] == "scipy-openblas" and \
         "USE64BITINT" in blas.get("openblas configuration", "")
@@ -560,22 +635,27 @@ def test_conv_rows_takes_the_blas_path_on_numpys_openblas(monkeypatch):
 
     def counted(name, fn):
         def call(*args):
+            assert all(isinstance(a, ctypes._SimpleCData) for a in args)
             calls[name] += 1
             return fn(*args)
         return call
 
     monkeypatch.setattr(ad, "_CBLAS", {
-        dt: (counted("gemm", gemm), counted("gemv", gemv))
-        for dt, (gemm, gemv) in ad._CBLAS.items()})
+        dt: (counted("gemm", gemm), counted("gemv", gemv), real)
+        for dt, (gemm, gemv, real) in ad._CBLAS.items()})
     rng = Rng(52)
     for size, ci, co, k in DENOISER_CONVS:
         x = rng.gauss((2, size, size, ci)).astype(np.float32)
         w = rng.gauss((k, k, ci, co)).astype(np.float32)
+        bias = rng.gauss((co,)).astype(np.float32)
         before = dict(calls)
         (got, _), (want, _) = _conv_rows_both(monkeypatch, x, w)
         assert np.array_equal(got, want)
         name = "gemv" if co == 1 else "gemm"
         assert calls[name] - before[name] >= k * k, (size, ci, co, k)
+        before = dict(calls)
+        assert np.array_equal(ad._conv_rows(x, w, bias)[0], want + bias)
+        assert calls["gemm"] - before["gemm"] == (k * k if co > 1 else 0) + 1
 
 
 def test_conv2d_without_blas_gives_the_same_values_and_grads(monkeypatch):
