@@ -588,20 +588,27 @@ def _conv_rows_both(monkeypatch, x, w):
     return outs
 
 
+@pytest.mark.parametrize("guard_bytes", [1 << 19, 1 << 10])
 @pytest.mark.parametrize("kernel", [(3, 3), (1, 1), (3, 1), (1, 3)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv_rows_blas_path_gives_the_np_dot_bits(monkeypatch, dtype, kernel):
+def test_conv_rows_blas_path_gives_the_np_dot_bits(monkeypatch, dtype,
+                                                   kernel, guard_bytes):
     # one input channel goes to gemm, one output channel to gemv; a 1x1
-    # image of one item is one output row.  A tap that read past the
-    # padded buffer, or added in another order, would not give np.dot's
-    # bits
+    # image of one item is one output row.  The weights are a view between
+    # guard_bytes of NaN on each side of a larger buffer.  A tap that read
+    # past the padded buffer or outside its weight slice, or added in
+    # another order, would not give np.dot's bits
     rng = Rng(50)
+    guard = guard_bytes // np.dtype(dtype).itemsize
     for ci in (1, 2, 32):
         for co in (1, 4, 32):
             for b in (1, 3):
                 for hw in ((1, 1), (5, 6), (32, 32)):
                     x = rng.gauss((b, *hw, ci)).astype(dtype)
-                    w = rng.gauss((*kernel, ci, co)).astype(dtype)
+                    size = kernel[0] * kernel[1] * ci * co
+                    buf = np.full(size + 2 * guard, np.nan, dtype=dtype)
+                    w = buf[guard:guard + size].reshape(*kernel, ci, co)
+                    w[...] = rng.gauss(w.shape)
                     (got, fg), (want, fw) = _conv_rows_both(monkeypatch, x, w)
                     case = (ci, co, b, hw)
                     assert got.dtype == want.dtype == dtype, case
