@@ -11,13 +11,13 @@ gradient tests run in float64); non-float input becomes float64.
 The hot kernels use numpy, plus numpy's own OpenBLAS for convolution where
 ``ctypes`` finds it: convolution is one matmul per kernel tap over the row
 slice of the padded input (no patch matrix), each added into the output by
-BLAS itself, then the bias as one more product (ones times bias) into the
-same output, and by ``np.dot``, a temporary and ``+=`` on builds without
-that library (see :func:`_conv_rows`).  Sums over pixels (group
-normalization's statistics, the conv bias and channel-map gradients) are
-BLAS products ``ones @ x``; group normalization then takes each channel's
-group mean with one (C, C) projection per item (:func:`_group_mean_map`)
-and broadcasts it.  SiLU's sigmoid is ``0.5 + 0.5*tanh(x/2)``.
+BLAS itself, and by ``np.dot``, a temporary and ``+=`` on builds without
+that library (see :func:`_conv_rows`); :func:`conv2d` then adds its bias
+in place.  Sums over pixels (group normalization's statistics, the conv
+bias and channel-map gradients) are BLAS products ``ones @ x``; group
+normalization then takes each channel's group mean with one (C, C)
+projection per item (:func:`_group_mean_map`) and broadcasts it.  SiLU's
+sigmoid is ``0.5 + 0.5*tanh(x/2)``.
 
 Allocator policy: on glibc, importing this module sets the C allocator to
 keep the memory the process frees (``mallopt``: arrays up to 32 MiB come
@@ -144,10 +144,6 @@ class Tensor:
         # perfbench's span tracer times backward by wrapping each op's vjp
         self._graph._vjp = vjp
 
-    def detach(self) -> "Tensor":
-        """Same data, no tracking (data is shared, not copied)."""
-        return Tensor(self.data, requires_grad=False)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
@@ -259,9 +255,8 @@ def _channel_sums(a: np.ndarray) -> np.ndarray:
 # convolution (channels-last, shift-and-matmul on the padded row grid)
 # ---------------------------------------------------------------------------
 
-# cblas enums (cblas.h), and the integer 1 (K of the bias product, its
-# leading dimension, and the vector strides), as the ctypes instances the
-# calls take
+# cblas enums (cblas.h), and the integer 1 (gemv's vector strides), as the
+# ctypes instances the calls take
 _ROW_MAJOR, _NO_TRANS = ctypes.c_int(101), ctypes.c_int(111)
 _ONE = ctypes.c_int64(1)
 # OpenBLAS cuts a gemm's inner dimension into blocks and adds each block's
@@ -337,18 +332,16 @@ def _dot_taps(flat: np.ndarray, taps: list, acc: np.ndarray) -> None:
         acc += t
 
 
-def _conv_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None):
-    """Stride-1 'same' convolution of x (B,H,W,Ci) with w (kh,kw,Ci,Co),
-    plus the optional bias (Co,), in the result dtype of the three.
+def _conv_rows(x: np.ndarray, w: np.ndarray):
+    """Stride-1 'same' convolution of x (B,H,W,Ci) with w (kh,kw,Ci,Co), in
+    the result dtype of the two.
 
     The input is zero-padded once and flattened to rows of Ci.  On that
     padded grid (Hp, Wp) the tap (u, v) of output row r reads input row
     r + u*Wp + v, so the convolution is one matmul per tap over one
     contiguous row slice.  Rows whose tap would read past an item's padded
-    grid land on its border and are dropped, so items never mix.  The bias
-    is added on the padded grid, then the valid rows are copied out once.
-    Returns the contiguous (B, H, W, Co) output and the flattened padded
-    input.
+    grid land on its border and are dropped, so items never mix.  Returns
+    the contiguous (B, H, W, Co) output and the flattened padded input.
 
     ``ctypes`` is here because ``np.dot`` cannot add a product into its
     output: with it each tap's product goes to a temporary and is then
@@ -357,18 +350,15 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None):
     (:func:`_load_cblas`) each tap is one call into it, to the routine
     ``np.dot`` uses for that shape: gemv for one output channel, gemm
     otherwise.  The first tap writes the output, the others add into it,
-    in the same order, so the bits are ``np.dot``'s.  The bias is one more
-    gemm, ones (N, 1) times bias (1, Co) with beta = 1: each product is
-    exact, so it gives the bits of ``out + bias``.  The fallback is
-    ``np.dot`` and a temporary (:func:`_dot_taps`), then ``+=`` of the
-    bias: on builds without that library, for more than ``_BLAS_MAX_CI``
-    input channels, and for one output row, which ``np.dot`` sends to other
-    routines.
+    in the same order, so the bits are ``np.dot``'s.  The fallback is
+    ``np.dot`` and a temporary (:func:`_dot_taps`): on builds without that
+    library, for more than ``_BLAS_MAX_CI`` input channels, and for one
+    output row, which ``np.dot`` sends to other routines.
     """
     b, h, wd, _ = x.shape
     kh, kw, ci, co = w.shape
     hp, wp = h + kh - 1, wd + kw - 1
-    dtype = np.result_type(x, w) if bias is None else np.result_type(x, w, bias)
+    dtype = np.result_type(x, w)
     w = np.ascontiguousarray(w, dtype=dtype)
     flat = _padded_rows(x, kh, kw, dtype)
     offs = [u * wp + v for u in range(kh) for v in range(kw)]
@@ -377,8 +367,6 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None):
     blas = _CBLAS and n > 1 and ci <= _BLAS_MAX_CI and _CBLAS.get(dtype)
     if not blas:
         _dot_taps(flat, list(zip(offs, w.reshape(-1, ci, co))), out[:n])
-        if bias is not None:
-            out[:n] += bias
     else:
         gemm, gemv, real = blas
         i64, ptr, size = ctypes.c_int64, ctypes.c_void_p, dtype.itemsize
@@ -397,12 +385,6 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None):
                 gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, rows, cout, cin, one,
                      a, cin, wk, cout, beta, c, cout)
             beta = one
-        if bias is not None:
-            ones = np.ones(n, dtype)
-            bias = np.ascontiguousarray(bias, dtype=dtype)
-            gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, rows, cout, _ONE, one,
-                 ptr(ones.ctypes.data), _ONE, ptr(bias.ctypes.data), cout,
-                 one, c, cout)
     return np.ascontiguousarray(out.reshape(b, hp, wp, co)[:, :h, :wd]), flat
 
 
@@ -427,7 +409,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             raise ValueError(f"conv2d: bias shape {b.shape} != ({co},)")
     xd, wdat = x.data, w.data
     x_grad, bias = x.requires_grad, b is not None
-    out = _conv_rows(xd, wdat, None if b is None else b.data)[0]
+    parents = (x, w) if b is None else (x, w, b)
+    # the output is in the result dtype of every operand, the bias's too;
+    # each element is its tap sum plus the bias, rounded once
+    dtype = np.result_type(*(p.data for p in parents))
+    out = _conv_rows(xd, wdat.astype(dtype, copy=False))[0]
+    if bias:
+        out += b.data
 
     def vjp(g):
         # dx: full correlation with the spatially flipped, channel-swapped
@@ -457,7 +445,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         grads = (dx, dw)
         return grads + (_channel_sums(g.reshape(-1, co)),) if bias else grads
 
-    parents = (x, w) if b is None else (x, w, b)
     return _node(out, parents, vjp)
 
 

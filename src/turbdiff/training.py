@@ -152,7 +152,7 @@ def loss_final(student, teacher, y0: np.ndarray, x_strong: np.ndarray,
         raise ValueError("loss_final: teacher parameters are required")
     y_t = q_sample(y0, t, eps, s).astype(y0.dtype, copy=False)
     with ad.no_grad():
-        pred_t = _predictor(teacher)(y_t, x_weak, t).detach()
+        pred_t = _predictor(teacher)(y_t, x_weak, t)
     pred_s = _predictor(student)(y_t, x_strong, t)
     l_t = ad.mse(Tensor(np.asarray(eps, dtype=pred_s.data.dtype)), pred_s)
     l_s = ad.mse(pred_t, pred_s)
@@ -193,11 +193,6 @@ def optimizer_step(state: TrainState, grads: dict[str, np.ndarray],
         step = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p.data = p.data - step
     state.step = t
-
-
-def _batch(dataset: PairedDataset, idx: np.ndarray, which: str) -> np.ndarray:
-    arr = getattr(dataset, which)
-    return to_signed(arr[idx])
 
 
 def train_stage(config: TrainConfig, dataset: PairedDataset,
@@ -263,14 +258,14 @@ def train_stage(config: TrainConfig, dataset: PairedDataset,
         for p in student.tensors.values():
             p.grad = None
         idx = idx_rng.integers(0, n, (bsz,))
-        y0 = _batch(dataset, idx, "clean").astype(dtype)
+        y0 = to_signed(dataset.clean[idx]).astype(dtype)
         t = t_rng.integers(1, sched.T + 1, (bsz,))
         eps = eps_rng.gauss(shape).astype(dtype)
         if stage is Stage.WEAK_COND:
-            x = _batch(dataset, idx, "weak").astype(dtype)
+            x = to_signed(dataset.weak[idx]).astype(dtype)
         else:
-            x_s = _batch(dataset, idx, "strong").astype(dtype)
-            x_w = _batch(dataset, idx, "weak").astype(dtype)
+            x_s = to_signed(dataset.strong[idx]).astype(dtype)
+            x_w = to_signed(dataset.weak[idx]).astype(dtype)
 
         # one graph per shard: its loss, weighted by its share of the batch,
         # goes through backward before the next shard's forward pass

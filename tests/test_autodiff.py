@@ -282,11 +282,13 @@ def test_three_layer_net_finite_difference():
     finite_diff_check(loss, params)
 
 
-@pytest.mark.parametrize("op_name", [
-    "add", "sub", "mul", "scale", "matmul", "add_bias", "conv2d", "conv1x1",
-    "silu", "group_norm", "avg_pool2", "upsample2", "concat", "channel_map",
-    "tsum", "tmean", "mse", "layout",
-])
+# every public op of autodiff, plus conv2d's 1x1 kernel; a new op gets a
+# case here that fails until the builders below give it one
+FD_CASES = sorted(set(ad.__all__) - {"Tensor", "no_grad", "backward"}) \
+    + ["conv1x1"]
+
+
+@pytest.mark.parametrize("op_name", FD_CASES)
 def test_every_op_against_finite_differences(op_name):
     rng = Rng(sum(map(ord, op_name)))
     a4 = t_(rng.gauss((2, 4, 4, 4)))
@@ -307,16 +309,19 @@ def test_every_op_against_finite_differences(op_name):
             ad.group_norm(a4, gn_g, gn_b, groups=2), ref4), None),
         "avg_pool2": (lambda: ad.mse(ad.avg_pool2(a4), ref_pool), {"a": a4}),
         "upsample2": (lambda: ad.mse(ad.upsample2(a4), ref_up), {"a": a4}),
-        "concat": (lambda: ad.mse(ad.concat_channels(a4, b4), ref_cat),
-                   {"a": a4, "b": b4}),
-        "channel_map": (lambda: ad.mse(ad.add_channel_map(a4, vmap), ref4),
-                        None),
+        "concat_channels": (lambda: ad.mse(ad.concat_channels(a4, b4),
+                                           ref_cat), {"a": a4, "b": b4}),
+        "add_channel_map": (lambda: ad.mse(ad.add_channel_map(a4, vmap),
+                                           ref4), None),
         "tsum": (lambda: ad.tsum(ad.mul(a4, b4)), {"a": a4}),
         "tmean": (lambda: ad.tmean(ad.mul(a4, b4)), {"a": a4}),
         "mse": (lambda: ad.mse(a4, b4), {"a": a4, "b": b4}),
-        "layout": (lambda: ad.mse(ad.channels_first(ad.channels_last(a4)),
-                                  ref4), {"a": a4}),
+        "channels_last": (lambda: ad.mse(ad.channels_last(a4), ref4),
+                          {"a": a4}),
+        "channels_first": (lambda: ad.mse(ad.channels_first(a4), ref4),
+                           {"a": a4}),
     }
+    assert op_name in builders, f"{op_name} has no finite-difference case"
     m1 = t_(rng.gauss((3, 4)))
     m2 = t_(rng.gauss((4, 2)))
     refm = Tensor(rng.gauss((3, 2)))
@@ -343,7 +348,7 @@ def test_every_op_against_finite_differences(op_name):
             "conv2d": {"a": a4, "w": cw, "b": cb},
             "conv1x1": {"a": a4, "w": cw1, "b": cb1},
             "group_norm": {"a": a4, "g": gn_g, "b": gn_b},
-            "channel_map": {"a": a4, "v": vmap},
+            "add_channel_map": {"a": a4, "v": vmap},
         }[op_name]
     finite_diff_check(loss_fn, tensors)
 
@@ -626,12 +631,25 @@ def test_conv_rows_blas_path_of_mixed_dtypes_is_float64(monkeypatch):
     assert np.array_equal(got, ad._conv_rows(x.astype(np.float64), w)[0])
 
 
+def test_conv2d_of_float32_operands_and_a_float64_bias_is_float64():
+    # the bias joins the result dtype: the taps run in float64 too
+    rng = Rng(54)
+    x = rng.gauss((2, 5, 6, 3)).astype(np.float32)
+    w = rng.gauss((3, 3, 3, 4)).astype(np.float32)
+    b = rng.gauss((4,))
+    got = ad.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+    assert got.dtype == np.float64
+    want = ad._conv_rows(x.astype(np.float64), w.astype(np.float64))[0] + b
+    assert np.array_equal(got, want)
+
+
 def test_conv_rows_takes_the_blas_path_on_numpys_openblas(monkeypatch):
     # numpy's wheels link the ILP64 scipy-openblas; there, every conv of
     # the denoiser (the stem's 2 input channels, the head's 1 output
-    # channel) must run on BLAS calls, one per tap plus one gemm for the
-    # bias, whose arguments are all ctypes instances (argtypes passes them
-    # on unconverted), and give the fallback's bits
+    # channel) must run on BLAS calls, one per tap, whose arguments are all
+    # ctypes instances (argtypes passes them on unconverted), and give the
+    # fallback's bits.  conv2d adds a bias outside BLAS: a biased conv
+    # makes the unbiased one's calls and gives its output plus the bias
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     ilp64 = blas["name"] == "scipy-openblas" and \
         "USE64BITINT" in blas.get("openblas configuration", "")
@@ -660,9 +678,13 @@ def test_conv_rows_takes_the_blas_path_on_numpys_openblas(monkeypatch):
         assert np.array_equal(got, want)
         name = "gemv" if co == 1 else "gemm"
         assert calls[name] - before[name] >= k * k, (size, ci, co, k)
-        before = dict(calls)
-        assert np.array_equal(ad._conv_rows(x, w, bias)[0], want + bias)
-        assert calls["gemm"] - before["gemm"] == (k * k if co > 1 else 0) + 1
+        made = []
+        for b in (None, Tensor(bias)):
+            before = dict(calls)
+            out = ad.conv2d(Tensor(x), Tensor(w), b).data
+            made.append({f: calls[f] - before[f] for f in calls})
+        assert made[0] == made[1], (size, ci, co, k)
+        assert np.array_equal(out, want + bias)
 
 
 def test_conv2d_without_blas_gives_the_same_values_and_grads(monkeypatch):
